@@ -70,9 +70,16 @@ impl Catalog {
 
     /// Seals every table's non-empty open write head (see
     /// [`Table::flush_open`]) — the clean-shutdown hook making all
-    /// appended rows durable. Returns how many tables sealed a head.
+    /// appended rows durable — and removes every superseded segment
+    /// directory no reader holds any more. Returns how many tables sealed
+    /// a head.
     pub fn flush(&self) -> usize {
-        self.tables().iter().filter(|t| t.flush_open()).count()
+        let tables = self.tables();
+        let sealed = tables.iter().filter(|t| t.flush_open()).count();
+        for t in &tables {
+            t.reclaim();
+        }
+        sealed
     }
 
     /// Recovers a catalog from the durable state under
@@ -116,8 +123,7 @@ impl Catalog {
                     entry.base,
                     entry.rows as usize,
                     &types,
-                    &entry.dir,
-                    &dir,
+                    dir,
                     cfg,
                     cfg.storage.load_indexes,
                 )?;
@@ -197,6 +203,8 @@ impl Catalog {
             }
             stats.rows += table.row_count();
             stats.persist_errors += table.persist_errors();
+            stats.superseded_segments += table.superseded_segments();
+            stats.reclaimed_segments += table.reclaimed_segments();
         }
         stats
     }
@@ -229,6 +237,11 @@ pub struct StorageStats {
     /// Failed persistence attempts across all tables (durability degraded
     /// to in-memory availability; 0 on a healthy system).
     pub persist_errors: u64,
+    /// Superseded segment directories (no longer in their table's
+    /// committed manifest) still held by a reader, awaiting removal.
+    pub superseded_segments: usize,
+    /// Superseded segment directories removed at runtime so far.
+    pub reclaimed_segments: u64,
 }
 
 #[cfg(test)]

@@ -24,12 +24,24 @@
 //! segment): rewriting it whole per seal is cheaper than any
 //! incremental-log scheme at the segment counts this engine sees, and it
 //! makes recovery a single checksummed read.
+//!
+//! Segment directories are immutable components the manifest references.
+//! A rebuilt segment shares its data (and every untouched index) with the
+//! segment it replaces, so its directory **hard-links** those files from
+//! the source directory and writes only the rebuilt imprints. A directory
+//! the manifest no longer names is **reclaimed** at runtime: every live
+//! reference to it is an `Arc<`[`SegmentDir`]`>` (held by the segment
+//! persisted there and by any data slot still reading from it), the last
+//! one to drop queues the name, and [`TableStore::reclaim`] removes it
+//! once the committed manifest no longer names it. [`TableStore::gc`] at
+//! open stays as the backstop for crashes between the two steps.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use colstore::storage::{read_column, Reader, Writer};
 use colstore::{Column, ColumnType, Error, Result, Scalar};
@@ -115,26 +127,110 @@ pub struct RecoveryReport {
     pub orphans_removed: usize,
 }
 
-/// The durable side of one table: its directory, the committed manifest
-/// epoch, and a uid counter making segment-directory names unique across
-/// replacements of the same base row.
+/// Names of one table's segment directories that have live in-memory
+/// references, and of those whose last reference dropped and that await
+/// removal (lock class `table.reclaim`, a leaf: nothing else is taken
+/// while it is held).
+#[derive(Debug, Default)]
+struct ReclaimState {
+    live: HashSet<String>,
+    pending: Vec<String>,
+}
+
+/// A live reference to one durable segment directory. The segment
+/// persisted there holds one, and so does every data slot whose column
+/// file lives there, including slots a rebuilt copy shares until its own
+/// directory is written. Dropping the last one queues the directory for
+/// [`TableStore::reclaim`].
+#[derive(Debug)]
+pub(crate) struct SegmentDir {
+    name: String,
+    path: PathBuf,
+    reclaim: Arc<Mutex<ReclaimState>>,
+}
+
+impl SegmentDir {
+    /// The directory name under the table directory.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The directory's path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The data file of column `ci` in this directory, pinning the
+    /// directory for as long as the returned handle lives.
+    pub(crate) fn data_file(self: &Arc<Self>, ci: usize) -> DataFile {
+        DataFile { path: self.path.join(column_file(ci)), _dir: Arc::clone(self) }
+    }
+}
+
+impl Drop for SegmentDir {
+    fn drop(&mut self) {
+        let mut state = self.reclaim.lock().unwrap_or_else(PoisonError::into_inner);
+        state.live.remove(&self.name);
+        state.pending.push(std::mem::take(&mut self.name));
+    }
+}
+
+/// A durable column data file plus the reference keeping its directory
+/// on disk.
+#[derive(Debug, Clone)]
+pub(crate) struct DataFile {
+    path: PathBuf,
+    _dir: Arc<SegmentDir>,
+}
+
+impl DataFile {
+    /// The file's path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+/// The committed manifest's epoch and segment directories.
+#[derive(Debug, Default)]
+struct Committed {
+    epoch: u64,
+    dirs: HashSet<String>,
+}
+
+/// The durable side of one table: its directory, the committed manifest,
+/// a uid counter making segment-directory names unique across
+/// replacements of the same base row, and the reclaim queue of
+/// superseded directories.
 #[derive(Debug)]
 pub(crate) struct TableStore {
     /// `<storage root>/<table>`.
     root: PathBuf,
-    /// Epoch of the last committed manifest (lock class `table.store`).
-    /// The lock also serializes the write-tmp/rename pair itself.
-    manifest: Mutex<u64>,
+    /// The last committed manifest (lock class `table.store`). The lock
+    /// also serializes the write-tmp/rename pair itself.
+    manifest: Mutex<Committed>,
     uid: AtomicU64,
+    reclaim: Arc<Mutex<ReclaimState>>,
+    /// Superseded segment directories removed at runtime so far.
+    reclaimed: AtomicU64,
 }
 
 impl TableStore {
+    fn with_root(root: PathBuf, committed: Committed, uid: u64) -> TableStore {
+        TableStore {
+            root,
+            manifest: Mutex::new(committed),
+            uid: AtomicU64::new(uid),
+            reclaim: Arc::default(),
+            reclaimed: AtomicU64::new(0),
+        }
+    }
+
     /// Creates the table directory and commits an empty manifest, marking
     /// the directory as a recoverable table.
     pub(crate) fn create(root: &Path, name: &str, schema: &[ColumnDef]) -> Result<TableStore> {
         let dir = root.join(name);
         fs::create_dir_all(&dir)?;
-        let store = TableStore { root: dir, manifest: Mutex::new(0), uid: AtomicU64::new(0) };
+        let store = TableStore::with_root(dir, Committed::default(), 0);
         store.commit_manifest(0, schema, &[])?;
         Ok(store)
     }
@@ -151,23 +247,32 @@ impl TableStore {
                 max_uid = max_uid.max(uid + 1);
             }
         }
-        let store = TableStore {
-            root: dir,
-            manifest: Mutex::new(manifest.epoch),
-            uid: AtomicU64::new(max_uid),
+        let committed = Committed {
+            epoch: manifest.epoch,
+            dirs: manifest.segments.iter().map(|s| s.dir.clone()).collect(),
         };
-        Ok((store, manifest))
+        Ok((TableStore::with_root(dir, committed, max_uid), manifest))
     }
 
-    /// The directory of segment `name`.
-    pub(crate) fn segment_dir(&self, name: &str) -> PathBuf {
-        self.root.join(name)
+    /// A live reference to segment directory `name`, registered so its
+    /// last drop queues the directory for reclamation.
+    pub(crate) fn segment_dir(&self, name: &str) -> Arc<SegmentDir> {
+        self.reclaim.lock().unwrap_or_else(PoisonError::into_inner).live.insert(name.to_string());
+        Arc::new(SegmentDir {
+            name: name.to_string(),
+            path: self.root.join(name),
+            reclaim: Arc::clone(&self.reclaim),
+        })
     }
 
-    /// Writes `seg` as a fresh segment directory: every column's data,
-    /// imprint and zonemap into a `.tmp` directory, fsynced, then one
-    /// rename publishing it. On success the segment is marked durable
-    /// (directory name + per-column data files pinned). A segment that is
+    /// Writes `seg` as a fresh segment directory under a `.tmp` name,
+    /// fsyncs the files and the directory, then publishes it with one
+    /// rename. A segment rebuilt from a durable one hard-links every file
+    /// it shares with the source (all column data, the untouched columns'
+    /// imprints, every zonemap) and writes only its rebuilt imprints, so
+    /// no data is rewritten or faulted in; a failed link falls back to
+    /// writing the file. On success the segment is marked durable, which
+    /// repoints its data slots into the new directory. A segment that is
     /// already durable — a recovered one — is left as is.
     pub(crate) fn persist_segment(&self, seg: &SealedSegment) -> Result<()> {
         if seg.durable_name().is_some() {
@@ -182,15 +287,28 @@ impl TableStore {
         // (uids are fresh), but be thorough.
         let _ = fs::remove_dir_all(&tmp);
         fs::create_dir_all(&tmp)?;
+        let source = seg.link_source().map(|(dir, rebuilt)| (self.root.join(dir), rebuilt));
         for (ci, col) in seg.columns().iter().enumerate() {
-            write_file(&tmp.join(column_file(ci)), |w| col.write_data_to(w))?;
-            write_file(&tmp.join(imprint_file(ci)), |w| col.write_index_to(w))?;
-            write_file(&tmp.join(zonemap_file(ci)), |w| col.write_zonemap_to(w))?;
+            let data = col.data_file_path();
+            link_or_write(data.as_deref(), &tmp.join(column_file(ci)), |w| col.write_data_to(w))?;
+            let (imp, zone) = match &source {
+                Some((dir, rebuilt)) => (
+                    (!rebuilt.contains(&ci)).then(|| dir.join(imprint_file(ci))),
+                    Some(dir.join(zonemap_file(ci))),
+                ),
+                None => (None, None),
+            };
+            link_or_write(imp.as_deref(), &tmp.join(imprint_file(ci)), |w| col.write_index_to(w))?;
+            link_or_write(zone.as_deref(), &tmp.join(zonemap_file(ci)), |w| {
+                col.write_zonemap_to(w)
+            })?;
         }
-        let dir = self.root.join(&name);
-        fs::rename(&tmp, &dir)?;
+        // The directory's own entries (new files and links) must be on disk
+        // before the rename can publish it.
+        sync_dir(&tmp)?;
+        fs::rename(&tmp, self.root.join(&name))?;
         sync_dir(&self.root)?;
-        seg.mark_durable(&name, &dir);
+        seg.mark_durable(self.segment_dir(&name));
         Ok(())
     }
 
@@ -205,7 +323,7 @@ impl TableStore {
         segments: &[SegmentEntry],
     ) -> Result<()> {
         let mut last = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        if epoch > 0 && epoch <= *last {
+        if epoch > 0 && epoch <= last.epoch {
             return Ok(());
         }
         let mut w = Writer::new();
@@ -229,16 +347,65 @@ impl TableStore {
         write_file(&tmp, |mut out| w.finish(&MANIFEST_MAGIC, &mut out))?;
         fs::rename(&tmp, self.root.join(MANIFEST_FILE))?;
         sync_dir(&self.root)?;
-        *last = epoch;
+        *last = Committed { epoch, dirs: segments.iter().map(|s| s.dir.clone()).collect() };
         Ok(())
     }
 
+    /// Removes every queued segment directory the committed manifest no
+    /// longer names. A directory is queued only once its last in-memory
+    /// reference dropped, so no reader can fault data in from it, and no
+    /// later manifest can name it again (manifests name live segments
+    /// only). A queued directory the committed manifest still names — the
+    /// commit dropping it failed — stays queued until one succeeds.
+    pub(crate) fn reclaim(&self) {
+        let pending = {
+            let mut state = self.reclaim.lock().unwrap_or_else(PoisonError::into_inner);
+            std::mem::take(&mut state.pending)
+        };
+        if pending.is_empty() {
+            return;
+        }
+        let (gone, mut keep): (Vec<String>, Vec<String>) = {
+            let committed = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
+            pending.into_iter().partition(|name| !committed.dirs.contains(name))
+        };
+        let mut removed = 0;
+        for name in gone {
+            match fs::remove_dir_all(self.root.join(&name)) {
+                Ok(()) => removed += 1,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(_) => keep.push(name),
+            }
+        }
+        if !keep.is_empty() {
+            self.reclaim.lock().unwrap_or_else(PoisonError::into_inner).pending.extend(keep);
+        }
+        // ordering: a monotonic statistic; readers tolerate any staleness.
+        self.reclaimed.fetch_add(removed, Ordering::Relaxed);
+    }
+
+    /// Segment directories the committed manifest no longer names but a
+    /// reader or a sharing segment still holds.
+    pub(crate) fn superseded(&self) -> usize {
+        let committed = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.reclaim.lock().unwrap_or_else(PoisonError::into_inner);
+        state.live.iter().filter(|name| !committed.dirs.contains(*name)).count()
+    }
+
+    /// Superseded segment directories removed at runtime so far.
+    pub(crate) fn reclaimed(&self) -> u64 {
+        // ordering: a monotonic statistic; readers tolerate any staleness.
+        self.reclaimed.load(Ordering::Relaxed)
+    }
+
     /// Removes everything in the table directory that the committed
-    /// manifest does not reference: orphaned segment directories (their
-    /// manifest write lost a race or crashed) and stale `.tmp` files.
-    /// Only called from [`Catalog::open`](crate::Catalog::open), before
-    /// any query runs — at runtime, pinned readers may still hold
-    /// segments whose directories a racing manifest orphaned.
+    /// manifest does not reference: orphaned segment directories and
+    /// stale `.tmp` files. Called from
+    /// [`Catalog::open`](crate::Catalog::open) before any segment handle
+    /// exists. At runtime [`TableStore::reclaim`] removes superseded
+    /// directories once their last reader is gone; this sweep catches
+    /// what a crash left behind: a directory written but never committed,
+    /// or one superseded but not yet reclaimed.
     pub(crate) fn gc(&self, manifest: &Manifest) -> Result<usize> {
         let mut removed = 0;
         for entry in fs::read_dir(&self.root)? {
@@ -286,7 +453,21 @@ fn write_file(path: &Path, fill: impl FnOnce(&mut dyn Write) -> Result<()>) -> R
     Ok(())
 }
 
-/// Fsyncs a directory so a just-renamed entry survives power loss.
+/// Hard-links `src` to `dst` when a source is given, falling back to
+/// writing `dst` through `fill` when there is none or the link fails (a
+/// file system without hard links, a damaged source directory).
+fn link_or_write(
+    src: Option<&Path>,
+    dst: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> Result<()>,
+) -> Result<()> {
+    match src.map(|src| fs::hard_link(src, dst)) {
+        Some(Ok(())) => Ok(()),
+        _ => write_file(dst, fill),
+    }
+}
+
+/// Fsyncs a directory so its just-created entries survive power loss.
 fn sync_dir(dir: &Path) -> Result<()> {
     fs::File::open(dir)?.sync_all()?;
     Ok(())

@@ -33,7 +33,7 @@ use imprints::simd::{self, RefineKernel, SetKernel};
 
 use crate::config::EngineConfig;
 use crate::paths::{PathChooser, PathKind, PlanChooser, PlanKind};
-use crate::persist;
+use crate::persist::{self, DataFile, SegmentDir};
 
 /// The data payload of one sealed segment column: memory-resident, or
 /// *evicted* to its durable column file with only the metadata (and the
@@ -47,42 +47,41 @@ use crate::persist;
 /// dropped.
 #[derive(Debug)]
 struct DataSlot<T: Scalar> {
-    /// `Some` while resident, `None` while evicted (lock class
+    /// The resident column and the durable file behind it (lock class
     /// `segment.data`; held only for pointer swaps and the fault-in read).
-    cold: RwLock<Option<Arc<Column<T>>>>,
+    cold: RwLock<SlotState<T>>,
     rows: usize,
     bytes: usize,
-    /// The durable column file backing fault-in, set once persisted. A
-    /// rebuilt or merged copy starts without one until the replacement
-    /// segment is persisted in turn.
-    file: OnceLock<PathBuf>,
     /// Data bytes faulted back in from disk over this slot's lifetime.
     faulted: AtomicU64,
 }
 
+/// What a [`DataSlot`] holds under its lock.
+#[derive(Debug)]
+struct SlotState<T: Scalar> {
+    /// `Some` while resident, `None` while evicted.
+    col: Option<Arc<Column<T>>>,
+    /// The durable column file backing fault-in, once persisted. A
+    /// rebuilt copy shares its source's file (and so keeps the source
+    /// directory on disk) until its own directory is written, which
+    /// repoints the slot there.
+    file: Option<DataFile>,
+}
+
 impl<T: Scalar> DataSlot<T> {
+    fn with_state(rows: usize, bytes: usize, state: SlotState<T>, faulted: u64) -> Self {
+        DataSlot { rows, bytes, cold: RwLock::new(state), faulted: AtomicU64::new(faulted) }
+    }
+
     fn new(col: Arc<Column<T>>) -> Self {
-        DataSlot {
-            rows: col.len(),
-            bytes: col.data_bytes(),
-            cold: RwLock::new(Some(col)),
-            file: OnceLock::new(),
-            faulted: AtomicU64::new(0),
-        }
+        let (rows, bytes) = (col.len(), col.data_bytes());
+        DataSlot::with_state(rows, bytes, SlotState { col: Some(col), file: None }, 0)
     }
 
     /// A slot born evicted — the recovery path, where the manifest vouches
     /// for the file and the data is only read if a query refines into it.
-    fn evicted(rows: usize, bytes: usize, file: PathBuf) -> Self {
-        let slot = DataSlot {
-            rows,
-            bytes,
-            cold: RwLock::new(None),
-            file: OnceLock::new(),
-            faulted: AtomicU64::new(0),
-        };
-        let _ = slot.file.set(file);
-        slot
+    fn evicted(rows: usize, bytes: usize, file: DataFile) -> Self {
+        DataSlot::with_state(rows, bytes, SlotState { col: None, file: Some(file) }, 0)
     }
 
     fn len(&self) -> usize {
@@ -94,7 +93,13 @@ impl<T: Scalar> DataSlot<T> {
     }
 
     fn is_resident(&self) -> bool {
-        self.cold.read().unwrap_or_else(PoisonError::into_inner).is_some()
+        self.cold.read().unwrap_or_else(PoisonError::into_inner).col.is_some()
+    }
+
+    /// The path of the durable file backing this slot, if persisted.
+    fn file_path(&self) -> Option<PathBuf> {
+        let slot = self.cold.read().unwrap_or_else(PoisonError::into_inner);
+        slot.file.as_ref().map(|f| f.path().to_path_buf())
     }
 
     /// The resident column, faulting it back in from its durable file if
@@ -110,39 +115,42 @@ impl<T: Scalar> DataSlot<T> {
     fn get(&self) -> Arc<Column<T>> {
         {
             let slot = self.cold.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(col) = slot.as_ref() {
+            if let Some(col) = slot.col.as_ref() {
                 return Arc::clone(col);
             }
         }
         let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(col) = slot.as_ref() {
+        if let Some(col) = slot.col.as_ref() {
             return Arc::clone(col);
         }
-        let file = self.file.get().expect("evicted column always has a durable file");
+        let file = slot.file.as_ref().expect("evicted column always has a durable file").path();
         let col = persist::read_column_file::<T>(file).unwrap_or_else(|e| {
             panic!("faulting column back in from {} failed: {e}", file.display())
         });
         assert_eq!(col.len(), self.rows, "faulted column geometry changed on disk");
         let col = Arc::new(col);
         self.faulted.fetch_add(self.bytes as u64, Ordering::Relaxed);
-        *slot = Some(Arc::clone(&col));
+        slot.col = Some(Arc::clone(&col));
         col
     }
 
-    /// Pins the durable file backing this slot. First caller wins: a slot
-    /// that already points at a (still valid) file keeps it.
-    fn mark_durable(&self, file: PathBuf) {
-        let _ = self.file.set(file);
+    /// Points the slot at `file`, its segment's own durable copy, releasing
+    /// any file shared with the segment it was rebuilt from.
+    fn mark_durable(&self, file: DataFile) {
+        let old = self.cold.write().unwrap_or_else(PoisonError::into_inner).file.replace(file);
+        // Released outside the lock: dropping the last reference to a
+        // directory queues it for reclamation.
+        drop(old);
     }
 
     /// Drops the resident data if a durable file backs it, returning the
     /// bytes freed (0 when not persisted or already evicted).
     fn evict(&self) -> usize {
-        if self.file.get().is_none() {
+        let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
+        if slot.file.is_none() {
             return 0;
         }
-        let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
-        match slot.take() {
+        match slot.col.take() {
             Some(_) => self.bytes,
             None => 0,
         }
@@ -153,21 +161,12 @@ impl<T: Scalar> DataSlot<T> {
     }
 
     /// A clone sharing the resident `Arc` (or the evicted state) and the
-    /// durable file pointer — the shallow-clone side of a segment swap,
-    /// where this column's data and file are unchanged.
+    /// durable file — the shallow-clone side of a segment swap, where this
+    /// column's data is unchanged.
     fn share(&self) -> DataSlot<T> {
-        let cur = self.cold.read().unwrap_or_else(PoisonError::into_inner).clone();
-        let slot = DataSlot {
-            rows: self.rows,
-            bytes: self.bytes,
-            cold: RwLock::new(cur),
-            file: OnceLock::new(),
-            faulted: AtomicU64::new(self.faulted.load(Ordering::Relaxed)),
-        };
-        if let Some(f) = self.file.get() {
-            let _ = slot.file.set(f.clone());
-        }
-        slot
+        let slot = self.cold.read().unwrap_or_else(PoisonError::into_inner);
+        let state = SlotState { col: slot.col.clone(), file: slot.file.clone() };
+        DataSlot::with_state(self.rows, self.bytes, state, self.faulted_bytes())
     }
 }
 
@@ -262,6 +261,12 @@ pub struct SegCol<T: Scalar> {
     /// bins at build time — the §4.1 drift signal when binning is inherited
     /// from an older segment.
     drift: f64,
+    /// Whether the binning was inherited from an earlier segment (sealed
+    /// under `share_binning`, or read back at recovery, where its origin
+    /// is unknown) rather than sampled from this column's own data. Only
+    /// an inherited binning can go stale: re-sampling a self-sampled one
+    /// reproduces it exactly, so the planner never rebuilds it.
+    inherited: bool,
     /// Times the planner re-binned this column.
     rebuilds: u32,
     /// The refinement kernel this column's value checks run under —
@@ -280,7 +285,9 @@ impl<T: Scalar> SegCol<T> {
     /// drift against it recorded; otherwise the binning is freshly sampled.
     pub fn seal(col: Column<T>, prev: Option<&SegCol<T>>, cfg: &EngineConfig) -> Self {
         let opts = BuildOptions::default();
-        let (imprints, drift) = match prev.filter(|_| cfg.share_binning) {
+        let prev = prev.filter(|_| cfg.share_binning);
+        let inherited = prev.is_some();
+        let (imprints, drift) = match prev {
             Some(prev) => {
                 let binning = prev.imprints.binning().clone();
                 let drift = measure_drift(&binning, &prev.zonemap, col.values());
@@ -302,6 +309,7 @@ impl<T: Scalar> SegCol<T> {
             zonemap,
             wah: WahSlot::new(cfg.wah_budget_bytes),
             drift,
+            inherited,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
             chooser: chooser_for(cfg),
@@ -324,6 +332,7 @@ impl<T: Scalar> SegCol<T> {
             zonemap: self.zonemap.clone(),
             wah: self.wah.fresh(),
             drift: 0.0,
+            inherited: false,
             rebuilds: self.rebuilds + 1,
             kernel: self.kernel,
             chooser: self.chooser.fresh_like(),
@@ -623,24 +632,25 @@ impl<T: Scalar> SegCol<T> {
     /// is only faulted in when a query refines into it. When the index
     /// files are missing, corrupt, or `load_indexes` is off, the column
     /// data is read and the indexes rebuilt from scratch (the checksummed
-    /// data file is the ground truth; indexes are derived state). Returns
-    /// the column and whether its indexes were recovered (vs rebuilt).
+    /// data file is the ground truth; indexes are derived state), with a
+    /// binning sampled from that data. Returns the column and whether its
+    /// indexes were recovered (vs rebuilt).
     fn recover(
-        dir: &Path,
+        dir: &Arc<SegmentDir>,
         ci: usize,
         rows: usize,
         cfg: &EngineConfig,
         load_indexes: bool,
     ) -> colstore::Result<(SegCol<T>, bool)> {
-        let data_file = dir.join(persist::column_file(ci));
+        let data_file = dir.data_file(ci);
         if load_indexes {
-            if let Ok((imprints, zonemap)) = Self::read_indexes(dir, ci, rows) {
+            if let Ok((imprints, zonemap)) = Self::read_indexes(dir.path(), ci, rows) {
                 let bytes = rows * std::mem::size_of::<T>();
                 let slot = DataSlot::evicted(rows, bytes, data_file);
                 return Ok((Self::from_recovered(slot, imprints, zonemap, cfg), true));
             }
         }
-        let col = persist::read_column_file::<T>(&data_file)?;
+        let col = persist::read_column_file::<T>(data_file.path())?;
         if col.len() != rows {
             return Err(colstore::Error::Corrupt(format!(
                 "segment column {ci} holds {} rows, manifest says {rows}",
@@ -673,7 +683,9 @@ impl<T: Scalar> SegCol<T> {
 
     /// Assembles a column from recovered parts: indexes read back, data
     /// evicted, and every learned signal (drift, path costs, observations)
-    /// reset — cost profiles do not survive a restart.
+    /// reset — cost profiles do not survive a restart. The binning counts
+    /// as inherited: whether it was sampled from this data is not on disk,
+    /// so a restart costs at most one rebuild per column.
     fn from_recovered(
         data: DataSlot<T>,
         imprints: ColumnImprints<T>,
@@ -686,6 +698,7 @@ impl<T: Scalar> SegCol<T> {
             zonemap,
             wah: WahSlot::new(cfg.wah_budget_bytes),
             drift: 0.0,
+            inherited: true,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
             chooser: chooser_for(cfg),
@@ -921,9 +934,15 @@ impl AnySegCol {
         seg_dispatch!(self, s => s.data.faulted_bytes())
     }
 
-    /// Pins the durable column file backing eviction and fault-in.
-    pub(crate) fn mark_durable(&self, file: PathBuf) {
+    /// Points eviction and fault-in at the segment's own durable file.
+    pub(crate) fn mark_durable(&self, file: DataFile) {
         seg_dispatch!(self, s => s.data.mark_durable(file))
+    }
+
+    /// The durable data file currently backing this column, if any — for
+    /// a rebuilt copy not yet persisted, its source segment's file.
+    pub(crate) fn data_file_path(&self) -> Option<PathBuf> {
+        seg_dispatch!(self, s => s.data.file_path())
     }
 
     /// Serializes the column data (faulting it in if evicted).
@@ -945,7 +964,7 @@ impl AnySegCol {
     /// [`SegCol::recover`]). The bool reports indexes recovered vs rebuilt.
     pub(crate) fn recover(
         ty: colstore::ColumnType,
-        dir: &Path,
+        dir: &Arc<SegmentDir>,
         ci: usize,
         rows: usize,
         cfg: &EngineConfig,
@@ -980,6 +999,12 @@ impl AnySegCol {
     /// Overflow-bin drift against the inherited binning, measured at seal.
     pub fn drift(&self) -> f64 {
         seg_dispatch!(self, s => s.drift)
+    }
+
+    /// Whether the binning was inherited rather than sampled from this
+    /// column's own data (see [`SegCol`]'s `inherited`).
+    pub fn binning_inherited(&self) -> bool {
+        seg_dispatch!(self, s => s.inherited)
     }
 
     /// Times the planner re-binned this column.
@@ -1116,10 +1141,32 @@ pub struct SealedSegment {
     /// [`EngineConfig::conjunction_planning`] at seal time: `false` pins
     /// every multi-predicate query to the per-predicate plan.
     conjunction_planning: bool,
-    /// The durable segment-directory name under the table's storage root,
-    /// set once the segment is persisted (or recovered). Empty for a
-    /// memory-only segment, whose data is consequently never evictable.
-    durable: OnceLock<String>,
+    /// The durable segment directory, set once the segment is persisted
+    /// (or recovered). Empty for a memory-only segment, whose data is
+    /// consequently never evictable.
+    durable: OnceLock<Durable>,
+    /// For a rebuilt copy of a durable segment: the files it can
+    /// hard-link instead of writing (see [`LinkSource`]).
+    link: Option<LinkSource>,
+}
+
+/// A sealed segment's durable directory.
+#[derive(Debug)]
+struct Durable {
+    dir: Arc<SegmentDir>,
+    /// Whether the directory's index files hold exactly the in-memory
+    /// indexes — `false` after recovery rebuilt any index from data.
+    indexes_on_disk: bool,
+}
+
+/// Where a rebuilt segment's unchanged index files already live: the
+/// source segment's directory, kept on disk by the rebuilt copy's shared
+/// data slots until its own directory is written.
+#[derive(Debug)]
+struct LinkSource {
+    dir: String,
+    /// Columns whose imprint was rebuilt (their zonemaps are unchanged).
+    rebuilt: Vec<usize>,
 }
 
 impl SealedSegment {
@@ -1145,6 +1192,7 @@ impl SealedSegment {
             plans: Mutex::new(HashMap::new()),
             conjunction_planning: cfg.conjunction_planning,
             durable: OnceLock::new(),
+            link: None,
         }
     }
 
@@ -1183,12 +1231,15 @@ impl SealedSegment {
             plans: Mutex::new(HashMap::new()),
             conjunction_planning: cfg.conjunction_planning,
             durable: OnceLock::new(),
+            link: None,
         }
     }
 
     /// Copy of this segment with every column in `rebuild` re-binned
     /// (fresh sampling); the other columns keep their indexes, cost models
-    /// and observation counters.
+    /// and observation counters. The copy shares every column's data, and
+    /// when this segment is durable it records where its unchanged files
+    /// live, so persisting it writes only the rebuilt imprints.
     pub fn with_rebuilt_columns(&self, rebuild: &[usize]) -> SealedSegment {
         let cols = self
             .cols
@@ -1205,6 +1256,11 @@ impl SealedSegment {
             plans: Mutex::new(HashMap::new()),
             conjunction_planning: self.conjunction_planning,
             durable: OnceLock::new(),
+            link: self
+                .durable
+                .get()
+                .filter(|d| d.indexes_on_disk)
+                .map(|d| LinkSource { dir: d.dir.name().to_string(), rebuilt: rebuild.to_vec() }),
         }
     }
 
@@ -1225,16 +1281,23 @@ impl SealedSegment {
 
     /// The durable segment-directory name, once persisted or recovered.
     pub fn durable_name(&self) -> Option<&str> {
-        self.durable.get().map(String::as_str)
+        self.durable.get().map(|d| d.dir.name())
     }
 
-    /// Records that this segment was persisted as directory `name` under
-    /// `dir`, pinning each column's durable data file. First caller wins.
-    pub(crate) fn mark_durable(&self, name: &str, dir: &Path) {
+    /// The directory name and rebuilt columns a persist may hard-link
+    /// unchanged files from (see [`SealedSegment::with_rebuilt_columns`]).
+    pub(crate) fn link_source(&self) -> Option<(&str, &[usize])> {
+        self.link.as_ref().map(|l| (l.dir.as_str(), l.rebuilt.as_slice()))
+    }
+
+    /// Records that this segment was persisted as `dir`, pointing each
+    /// column's data slot at its file there. Called once, by the persist that
+    /// wrote `dir`.
+    pub(crate) fn mark_durable(&self, dir: Arc<SegmentDir>) {
         for (ci, col) in self.cols.iter().enumerate() {
-            col.mark_durable(dir.join(persist::column_file(ci)));
+            col.mark_durable(dir.data_file(ci));
         }
-        let _ = self.durable.set(name.to_string());
+        let _ = self.durable.set(Durable { dir, indexes_on_disk: true });
     }
 
     /// Memory-resident data bytes across this segment's columns.
@@ -1272,8 +1335,7 @@ impl SealedSegment {
         base: u64,
         rows: usize,
         types: &[colstore::ColumnType],
-        name: &str,
-        dir: &Path,
+        dir: Arc<SegmentDir>,
         cfg: &EngineConfig,
         load_indexes: bool,
     ) -> colstore::Result<(SealedSegment, usize, usize)> {
@@ -1281,7 +1343,7 @@ impl SealedSegment {
         let mut rebuilt = 0;
         let mut cols = Vec::with_capacity(types.len());
         for (ci, &ty) in types.iter().enumerate() {
-            let (col, rec) = AnySegCol::recover(ty, dir, ci, rows, cfg, load_indexes)?;
+            let (col, rec) = AnySegCol::recover(ty, &dir, ci, rows, cfg, load_indexes)?;
             if rec {
                 recovered += 1;
             } else {
@@ -1296,8 +1358,9 @@ impl SealedSegment {
             plans: Mutex::new(HashMap::new()),
             conjunction_planning: cfg.conjunction_planning,
             durable: OnceLock::new(),
+            link: None,
         };
-        let _ = seg.durable.set(name.to_string());
+        let _ = seg.durable.set(Durable { dir, indexes_on_disk: rebuilt == 0 });
         Ok((seg, recovered, rebuilt))
     }
 
@@ -1570,6 +1633,7 @@ impl AnySegCol {
                     zonemap: $s.zonemap.clone(),
                     wah: $s.wah.clone_state(),
                     drift: $s.drift,
+                    inherited: $s.inherited,
                     rebuilds: $s.rebuilds,
                     kernel: $s.kernel,
                     chooser: $s.chooser.carry_over(),
@@ -1757,6 +1821,38 @@ mod tests {
         let (a, _) = seg2.evaluate(&[q(0, range)]);
         let (b, _) = rebuilt.evaluate(&[q(0, range)]);
         assert_eq!(a, b);
+    }
+
+    /// A self-sampled binning is as fitted as a rebuild can make it: the
+    /// binning sample is seeded, so rebuilding twice — or rebuilding a
+    /// freshly sealed column at all — yields the same index byte for byte.
+    /// This is why the planner never rebuilds a self-sampled column.
+    #[test]
+    fn rebuilding_a_self_sampled_column_reproduces_its_index() {
+        let values: Vec<i64> = (0..4096).map(|i| (i * 7919) % 100_003).collect();
+        let seg = seal_i64(values.clone());
+        let index = |s: &SealedSegment| {
+            let mut out = Vec::new();
+            s.columns()[0].write_index_to(&mut out).unwrap();
+            out
+        };
+        let once = seg.with_rebuilt_columns(&[0]);
+        let twice = once.with_rebuilt_columns(&[0]);
+        assert_eq!(index(&once), index(&twice), "a second rebuild must change nothing");
+        assert_eq!(index(&seg), index(&once), "a fresh seal is already self-sampled");
+        assert!(!seg.columns()[0].binning_inherited());
+        assert!(!once.columns()[0].binning_inherited());
+        // A chained seal inherits; its rebuild does not.
+        let next = SealedSegment::seal(
+            4096,
+            vec![AnyColumn::I64(Column::from(values))],
+            Some(&seg),
+            &cfg(),
+        );
+        assert!(next.columns()[0].binning_inherited());
+        assert!(!next.with_rebuilt_columns(&[0]).columns()[0].binning_inherited());
+        let merged = SealedSegment::merge(&[Arc::new(seg), Arc::new(next)], &cfg());
+        assert!(!merged.columns()[0].binning_inherited(), "a merge samples the union");
     }
 
     #[test]

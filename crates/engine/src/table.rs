@@ -480,6 +480,26 @@ impl Table {
         self.store.as_ref()
     }
 
+    /// Removes the superseded segment directories whose last reader is
+    /// gone (see [`TableStore::reclaim`]); runs at every maintenance tick
+    /// and flush.
+    pub(crate) fn reclaim(&self) {
+        if let Some(store) = &self.store {
+            store.reclaim();
+        }
+    }
+
+    /// Segment directories the committed manifest no longer names that a
+    /// reader (or a rebuilt copy not yet persisted) still holds.
+    pub fn superseded_segments(&self) -> usize {
+        self.store.as_ref().map_or(0, TableStore::superseded)
+    }
+
+    /// Superseded segment directories removed at runtime so far.
+    pub fn reclaimed_segments(&self) -> u64 {
+        self.store.as_ref().map_or(0, TableStore::reclaimed)
+    }
+
     /// Atomically replaces sealed segment `idx` if it is still `old` —
     /// the planner's swap step. Returns whether the swap happened.
     pub(crate) fn replace_segment(
@@ -489,8 +509,9 @@ impl Table {
         new: SealedSegment,
     ) -> bool {
         let new = Arc::new(new);
-        // Persist before the swap: losing the race below merely leaves an
-        // orphan directory for the next startup's garbage collection.
+        // Persist before the swap: losing the race below drops `new`, and
+        // its directory, named by no manifest, is reclaimed at the next
+        // tick.
         self.persist_segment(&new);
         let mut sealed = self.sealed.write().expect("sealed lock");
         match sealed.get(idx) {

@@ -202,6 +202,8 @@ fn stats_line(shared: &Shared, tag: Option<&str>, table: Option<&str>) -> String
                     format!("segments_sealed={}", s.segments_sealed.load(Ordering::Relaxed)),
                     format!("rebuilds={}", s.rebuilds.load(Ordering::Relaxed)),
                     format!("compactions={}", s.compactions.load(Ordering::Relaxed)),
+                    format!("superseded_segments={}", t.superseded_segments()),
+                    format!("reclaimed_segments={}", t.reclaimed_segments()),
                 ];
                 protocol::fmt_ok_list(tag, &items)
             }
@@ -219,6 +221,8 @@ fn stats_line(shared: &Shared, tag: Option<&str>, table: Option<&str>) -> String
                 format!("evicted_segments={}", storage.evicted_segments),
                 format!("faulted_bytes={}", storage.faulted_bytes),
                 format!("persist_errors={}", storage.persist_errors),
+                format!("superseded_segments={}", storage.superseded_segments),
+                format!("reclaimed_segments={}", storage.reclaimed_segments),
                 format!("connections={}", st.connections),
                 format!("requests={}", st.requests),
                 format!("admitted={}", st.admitted),

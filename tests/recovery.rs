@@ -214,6 +214,108 @@ fn corrupt_data_and_manifest_surface_typed_errors() {
     let _ = std::fs::remove_dir_all(root2);
 }
 
+/// Segment directories under `table_dir`, sorted.
+fn seg_dirs(table_dir: &std::path::Path) -> Vec<String> {
+    let mut dirs: Vec<String> = std::fs::read_dir(table_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("seg-"))
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+/// A rebuild supersedes a segment directory while a snapshot still pins
+/// the old segment: the directory stays, and the old segment's evicted
+/// data still faults in from it. Once the snapshot drops, the next tick
+/// removes the directory.
+#[test]
+fn superseded_directory_outlives_its_last_reader() {
+    let root = tmproot("pinned");
+    let engine = seed_engine(durable_cfg(&root));
+    let oracle = answers(&engine);
+    drop(engine);
+
+    // Reopened columns come back evicted, their binnings counted as
+    // inherited. Any false positive on `id` now triggers a rebuild.
+    let mut cfg = durable_cfg(&root);
+    cfg.maintenance.fp_threshold = 0.0;
+    cfg.maintenance.min_comparisons = 1;
+    cfg.maintenance.tier_fanin = 0;
+    let (engine, _) = Engine::open(cfg).unwrap();
+    let t = engine.table("t").unwrap();
+    let snap = t.snapshot();
+    let tdir = root.join("t");
+    let before = seg_dirs(&tdir);
+    // Faults in segment 0's `id` column only; `grp` stays on disk.
+    let narrow =
+        engine.query("t", &[("id", ValueRange::between(Value::I64(100), Value::I64(105)))]);
+    assert_eq!(narrow.unwrap().len(), 6);
+    let report = engine.maintenance_tick();
+    assert!(!report.applied.is_empty(), "the narrow query's false positives trigger a rebuild");
+    assert!(report.applied.iter().all(|a| a.column == "id"), "{report:?}");
+    let during = seg_dirs(&tdir);
+    assert_eq!(during.len(), before.len() + report.applied.len(), "old dirs survive the swap");
+    assert!(before.iter().all(|d| during.contains(d)));
+    assert_eq!(t.superseded_segments(), report.applied.len());
+    assert_eq!(engine.catalog().storage_stats().superseded_segments, report.applied.len());
+
+    // The snapshot still reads the old segments, faulting `grp` in from
+    // the superseded directories.
+    let grp = snap.query(&probes()[1]).unwrap();
+    assert_eq!(grp, oracle[1], "fault-in through a pinned old segment");
+
+    drop(snap);
+    // This tick may also rebuild `grp` where the snapshot's query left
+    // false positives on segments it shares with the table.
+    engine.maintenance_tick();
+    let after = seg_dirs(&tdir);
+    assert_eq!(after.len(), before.len(), "superseded dirs are removed once unpinned");
+    assert_eq!(t.superseded_segments(), 0);
+    let gone = during.iter().filter(|d| !after.contains(d)).count() as u64;
+    assert!(gone >= report.applied.len() as u64);
+    assert_eq!(t.reclaimed_segments(), gone);
+    assert_eq!(engine.catalog().storage_stats().reclaimed_segments, gone);
+    assert_eq!(answers(&engine), oracle);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Rebuilds, compaction merges and runtime reclamation leave a store
+/// that reopens to byte-identical answers with nothing for the open-time
+/// sweep to collect.
+#[test]
+fn reopen_after_rebuild_compaction_and_reclamation_matches_oracle() {
+    let root = tmproot("churn");
+    let mut cfg = durable_cfg(&root);
+    cfg.maintenance.tier_fanin = 2;
+    cfg.maintenance.compaction_budget_bytes = 0;
+    let engine = seed_engine(cfg.clone());
+    let oracle = answers(&engine);
+
+    // `id` ascends, so every inherited segment after the first drifts off
+    // its borders; four tier-0 segments merge pairwise.
+    let report = engine.maintenance_tick();
+    assert!(!report.applied.is_empty(), "drift must trigger rebuilds: {report:?}");
+    assert!(!report.compacted.is_empty(), "same-tier segments must merge: {report:?}");
+    engine.flush();
+    let stats = engine.catalog().storage_stats();
+    assert_eq!(stats.superseded_segments, 0, "nothing pins the swapped-out segments");
+    assert!(stats.reclaimed_segments > 0);
+    let t = engine.table("t").unwrap();
+    assert_eq!(seg_dirs(&root.join("t")).len(), engine.catalog().storage_stats().sealed_segments);
+    assert_eq!(answers(&engine), oracle);
+    let rows = t.row_count();
+    drop(t);
+    drop(engine);
+
+    let (engine, report) = Engine::open(cfg).unwrap();
+    assert_eq!(report.orphans_removed, 0, "a clean flush leaves no orphan");
+    assert_eq!(report.indexes_rebuilt, 0);
+    assert_eq!(engine.table("t").unwrap().row_count(), rows);
+    assert_eq!(answers(&engine), oracle, "reopened answers must be byte-identical");
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// First file named `name` under any segment directory of `table_dir`.
 fn find_file(table_dir: &std::path::Path, name: &str) -> std::path::PathBuf {
     let mut dirs: Vec<_> = std::fs::read_dir(table_dir)
