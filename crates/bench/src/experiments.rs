@@ -42,6 +42,17 @@ impl Default for ExpConfig {
     }
 }
 
+/// Runs `query` alone — a batch of one through the engine's one read
+/// pipeline — returning its answer and statistics.
+fn run_one(
+    table: &imprints_engine::Table,
+    query: imprints_engine::BatchQuery,
+    pool: Option<&imprints_engine::WorkerPool>,
+) -> (imprints_engine::BatchAnswer, imprints_engine::QueryStats) {
+    let mut out = table.query_batch(std::slice::from_ref(&query), pool);
+    out.pop().expect("one answer per query").expect("experiment predicates resolve")
+}
+
 impl ExpConfig {
     fn save(&self, t: &Table, name: &str) {
         match t.save_csv(&self.out_dir, name) {
@@ -520,7 +531,7 @@ pub fn throughput(cfg: &ExpConfig) {
 pub fn throughput_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, RangeIndex, RangePredicate, Value};
-    use imprints_engine::{EngineConfig, Table as EngineTable, ValueRange, WorkerPool};
+    use imprints_engine::{BatchQuery, EngineConfig, Table as EngineTable, ValueRange, WorkerPool};
     use std::time::Instant;
 
     let queries = 64usize;
@@ -605,9 +616,8 @@ pub fn throughput_with_rows(cfg: &ExpConfig, rows: usize) {
         let pool = WorkerPool::new(workers);
         let (ms, qps) = time_qps(&mut || {
             for &(lo, hi) in &preds {
-                let _ = table
-                    .query_on(&pool, &[("v", ValueRange::between(Value::I64(lo), Value::I64(hi)))])
-                    .unwrap();
+                let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
+                let _ = run_one(&table, BatchQuery::ids(vec![("v".into(), range)]), Some(&pool));
             }
         });
         t.row(vec![
@@ -781,7 +791,9 @@ pub fn writehead(cfg: &ExpConfig) {
 pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, Value};
-    use imprints_engine::{EngineConfig, Table as EngineTable, ValueRange};
+    use imprints_engine::{
+        BatchAnswer, BatchQuery, EngineConfig, Table as EngineTable, ValueRange,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
@@ -863,12 +875,12 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     let mut scan_cmp = 0u64;
     for _ in 0..rounds {
         for (range, oracle) in preds.iter().zip(&oracles) {
-            let pred = [("v", *range)];
+            let query = BatchQuery::ids(vec![("v".into(), *range)]);
             let t0 = Instant::now();
-            let (ids_s, st_s) = scanned.query_with_stats(&pred, None).unwrap();
+            let (ids_s, st_s) = run_one(&scanned, query.clone(), None);
             scan_us.push(t0.elapsed().as_secs_f64() * 1e6);
             let t0 = Instant::now();
-            let (ids_t, st_t) = indexed.query_with_stats(&pred, None).unwrap();
+            let (ids_t, st_t) = run_one(&indexed, query, None);
             tail_us.push(t0.elapsed().as_secs_f64() * 1e6);
             assert!(st_t.tail_indexed, "the indexed head must answer through its tail imprint");
             assert!(!st_s.tail_indexed);
@@ -876,7 +888,10 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
             tail_cmp += st_t.tail_access.value_comparisons;
             // Byte-identical to each other and to the whole-column oracle.
             assert_eq!(ids_t, ids_s, "tail-indexed head changed query results");
-            assert_eq!(ids_t.as_slice(), oracle.as_slice(), "results must match the oracle");
+            assert!(
+                matches!(&ids_t, BatchAnswer::Ids(ids) if ids.as_slice() == oracle.as_slice()),
+                "results must match the oracle"
+            );
         }
     }
 
@@ -919,17 +934,14 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
 /// Selectivity-aware access-path choice on a mixed predicate stream: one
 /// table holds a clustered, a uniform-random and a low-cardinality run
 /// column; the workload interleaves narrow and wide ranges over all three.
-/// A selectivity-bucketed engine (`path_buckets = 4`, WAH registered as a
-/// fourth byte-budgeted path) is raced against the single-EWMA baseline
-/// (`path_buckets = 1`, same paths) on identical data; every query result
-/// is asserted byte-identical to the whole-column oracle on both tables —
-/// so every explored path, WAH included, is correctness-checked — and at
-/// full scale the run asserts (a) the bucketed chooser converges to
-/// *different* winners for the narrow and wide buckets of the random
-/// column, (b) its overall median latency is at least as good as the
-/// single-EWMA chooser's, and (c) the WAH budget holds: built on the
-/// compressible columns, rejected on the random one, bytes accounted in
-/// `storage_stats`.
+/// A selectivity-bucketed engine (`path_buckets = 4`) is raced against the
+/// single-EWMA baseline (`path_buckets = 1`) on identical data; every
+/// query result is asserted byte-identical to the whole-column oracle on
+/// both tables — so every explored path (imprint, zonemap, scan) is
+/// correctness-checked — and at full scale the run asserts (a) the
+/// bucketed chooser converges to *different* winners for the narrow and
+/// wide buckets of the random column, and (b) its overall median latency
+/// is at least as good as the single-EWMA chooser's.
 pub fn pathmix(cfg: &ExpConfig) {
     pathmix_with_rows(cfg, cfg.rows);
 }
@@ -946,10 +958,6 @@ pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
     use std::time::Instant;
 
     let segment_rows = (rows / 8).clamp(1024, 1 << 16) / 64 * 64;
-    // Half a segment column's data bytes: comfortably holds the WAH
-    // bitmaps of the clustered and low-cardinality columns, impossible for
-    // the uniform-random one (literals everywhere, §6.2).
-    let wah_budget = segment_rows * 8 / 2;
     let domain = 1i64 << 20;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let clust: Vec<i64> = (0..rows).map(|i| i as i64 + rng.gen_range(-64..64)).collect();
@@ -958,13 +966,8 @@ pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
 
     let catalog = Catalog::new();
     let mk = |name: &str, buckets: usize| {
-        let ecfg = EngineConfig {
-            segment_rows,
-            workers: 1,
-            wah_budget_bytes: wah_budget,
-            path_buckets: buckets,
-            ..Default::default()
-        };
+        let ecfg =
+            EngineConfig { segment_rows, workers: 1, path_buckets: buckets, ..Default::default() };
         let schema =
             [("clust", ColumnType::I64), ("rand", ColumnType::I64), ("lowcard", ColumnType::I64)];
         let t = catalog.create_table(name, &schema, ecfg).unwrap();
@@ -979,10 +982,8 @@ pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
     let bucketed = mk("bucketed", 4);
     let single = mk("single", 1);
     println!(
-        "[pathmix] {rows} rows × 3 columns in {} segments of {segment_rows}; \
-         wah budget {} per segment column",
-        bucketed.sealed_segment_count(),
-        fmt_bytes(wah_budget)
+        "[pathmix] {rows} rows × 3 columns in {} segments of {segment_rows}",
+        bucketed.sealed_segment_count()
     );
 
     // The mixed stream: per column, narrow (~0.2% of the domain) and wide
@@ -1050,8 +1051,7 @@ pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
 
     // Warm-up: let both choosers bootstrap and converge (unmeasured), with
     // results checked against the oracle on every query — this is where
-    // the exploration probes route through every registered path,
-    // including the lazily built WAH bitmaps.
+    // the exploration probes route through every path.
     let check = |t: &imprints_engine::Table, qi: usize| -> IdList {
         let (col, range, _) = &preds[qi];
         let ids = t.query(&[(col, *range)]).unwrap();
@@ -1152,32 +1152,11 @@ pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
     ]);
     t.print();
 
-    // Storage accounting: WAH built on the compressible columns, rejected
-    // on the random one, bytes visible in the catalog stats.
-    let stats = catalog.storage_stats();
     println!(
-        "[pathmix] storage: {} index bytes of which {} WAH; overall median \
-         single {single_med:.1}µs vs bucketed {bucketed_med:.1}µs",
-        fmt_bytes(stats.index_bytes),
-        fmt_bytes(stats.wah_bytes),
+        "[pathmix] storage: {} index bytes; overall median single {single_med:.1}µs vs \
+         bucketed {bucketed_med:.1}µs",
+        fmt_bytes(catalog.storage_stats().index_bytes),
     );
-    for r in reports.iter().filter(|r| r.table == "bucketed") {
-        println!(
-            "[pathmix] {}.{}: wah built on {}/{} segments, rejected on {}",
-            r.table, r.column, r.wah_built, r.segments, r.wah_rejected
-        );
-    }
-    assert!(stats.wah_bytes > 0, "some column must have built its WAH path within budget");
-    assert!(stats.index_bytes > stats.wah_bytes, "imprint+zonemap bytes are always present");
-    let rand_report = reports
-        .iter()
-        .find(|r| r.table == "bucketed" && r.column == "rand")
-        .expect("rand column reported");
-    assert_eq!(
-        rand_report.wah_built, 0,
-        "uniform-random WAH must exceed half the data size and be rejected"
-    );
-    assert!(rand_report.wah_rejected > 0, "the chooser must have tried (and rejected) WAH");
 
     if rows >= 200_000 {
         // (a) The bucketed chooser learned different winners for narrow
@@ -1229,8 +1208,8 @@ pub fn multipred(cfg: &ExpConfig) {
 /// median.
 pub fn multipred_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
-    use colstore::{ColumnType, Value};
-    use imprints_engine::{Catalog, EngineConfig, ValueRange, ValueSet};
+    use colstore::{ColumnType, IdList, Value};
+    use imprints_engine::{BatchAnswer, BatchQuery, Catalog, EngineConfig, ValueRange, ValueSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
@@ -1399,23 +1378,25 @@ pub fn multipred_with_rows(cfg: &ExpConfig, rows: usize) {
     for t in [&planned, &perpred] {
         let in_set = ValueSet::points([Value::I64(3), Value::I64(17), Value::I64(41)]);
         let a_range = ValueSet::range(ValueRange::between(Value::I64(200), Value::I64(449)));
-        let ids = t.query_sets(&[("cb", in_set), ("ca", a_range)]).unwrap();
+        let query = BatchQuery::ids_sets(vec![("cb".into(), in_set), ("ca".into(), a_range)]);
+        let (ids, _) = run_one(t, query, None);
         let expect: Vec<u64> = (0..n as u64)
             .filter(|&i| {
                 [3, 17, 41].contains(&cb[i as usize]) && (200..=449).contains(&ca[i as usize])
             })
             .collect();
-        assert_eq!(ids.as_slice(), expect.as_slice(), "{} IN-list diverged", t.name());
+        assert_eq!(ids, BatchAnswer::Ids(IdList::from_sorted(expect)), "{} IN-list", t.name());
 
-        let arms = [
-            ("ca", ValueSet::range(ValueRange::at_most(Value::I64(49)))),
-            ("cc", ValueSet::range(ValueRange::equals(Value::I64(7)))),
+        let arms = vec![
+            ("ca".to_string(), ValueSet::range(ValueRange::at_most(Value::I64(49)))),
+            ("cc".to_string(), ValueSet::range(ValueRange::equals(Value::I64(7)))),
         ];
-        let ids = t.query_any(&arms).unwrap();
+        let (ids, _) = run_one(t, BatchQuery::ids_sets(arms.clone()).or_group(), None);
         let expect: Vec<u64> =
             (0..n as u64).filter(|&i| ca[i as usize] <= 49 || cc[i as usize] == 7).collect();
-        assert_eq!(ids.as_slice(), expect.as_slice(), "{} OR group diverged", t.name());
-        assert_eq!(t.count_any(&arms).unwrap() as usize, expect.len());
+        let (count, _) = run_one(t, BatchQuery::count_sets(arms).or_group(), None);
+        assert_eq!(count, BatchAnswer::Count(expect.len() as u64), "{} OR count", t.name());
+        assert_eq!(ids, BatchAnswer::Ids(IdList::from_sorted(expect)), "{} OR group", t.name());
     }
     let checked = per_shape * 2 * (3 + rounds) * 3 + 6;
     println!("[multipred] {checked} answers byte-identical to the brute-force oracle");
@@ -2106,8 +2087,8 @@ mod tests {
         // The experiment asserts every query's result byte-identical to
         // the whole-column oracle on both the bucketed and single-EWMA
         // tables — the bootstrap exploration routes queries through every
-        // registered path (WAH included), so completing is the
-        // correctness check; the winner/latency claims arm at ≥200Ki rows.
+        // path, so completing is the correctness check; the winner/latency
+        // claims arm at ≥200Ki rows.
         let cfg = tiny_cfg();
         pathmix_with_rows(&cfg, 24_000);
         let _ = std::fs::remove_dir_all(&cfg.out_dir);

@@ -26,24 +26,11 @@ pub struct EngineConfig {
     /// accumulated so far and every later append extends it under the
     /// open write lock. `usize::MAX` disables tail indexing entirely.
     pub tail_index_min_rows: usize,
-    /// Per-segment-column byte budget for the WAH bitmap access path
-    /// ([`baselines::WahBitmap`]). `0` (the default) leaves WAH
-    /// unregistered and each segment column keeps the three classic paths
-    /// (imprint, zonemap, scan). A positive budget registers WAH as a
-    /// fourth path, **built lazily** the first time a column's chooser
-    /// explores it — WAH can exceed the data size on high-cardinality
-    /// columns, so a column whose freshly built bitmap comes out larger
-    /// than the budget discards it and permanently falls back to the
-    /// three classic paths (per segment column, until a rebuild re-earns
-    /// the chance). Built bitmaps count toward
-    /// [`Catalog::storage_stats`](crate::Catalog::storage_stats) and
-    /// `index_bytes`.
-    pub wah_budget_bytes: usize,
     /// Which false-positive refinement kernel weeds fetched cachelines on
     /// every access path (imprints check lines, zonemap overlap zones,
-    /// scans, WAH edge bins, tail-imprint head lines, conjunction
-    /// survivors): `Auto` (currently SWAR), `Scalar` (the classic loop,
-    /// kept as the differential oracle), or `Swar`. The selection scopes
+    /// scans, tail-imprint head lines, conjunction survivors): `Auto`
+    /// (currently SWAR), `Scalar` (the classic loop, kept as the
+    /// differential oracle), or `Swar`. The selection scopes
     /// to the tables created with this configuration — it is resolved via
     /// [`imprints::simd::effective_kernel`] and threaded into every value
     /// check, so tables with different selections coexist in one process.
@@ -91,7 +78,6 @@ impl Default for EngineConfig {
             share_binning: true,
             build_threads: 1,
             tail_index_min_rows: 4096,
-            wah_budget_bytes: 0,
             refine_kernel: RefineKernel::Auto,
             path_buckets: crate::paths::NUM_BUCKETS,
             conjunction_planning: true,
@@ -136,7 +122,9 @@ impl EngineConfig {
 /// `max_resident_data_bytes`, the maintenance planner drops the *data*
 /// pages of the coldest persisted segments while their imprints stay
 /// resident — counts that the imprint fully covers are answered without
-/// touching disk, and only refinement faults data back in.
+/// touching disk, and only refinement faults data back in. The zonemaps
+/// stay resident too, at 2 bytes per 8-byte value, so an evicted 8-byte
+/// column still keeps about a third of its data size resident as index.
 #[derive(Debug, Clone)]
 pub struct StorageOptions {
     /// Directory holding one subdirectory per table. `None` (the default)

@@ -10,15 +10,16 @@
 //!   their sealed segments behind an `Arc`-swap scheme; readers pin a
 //!   consistent prefix in O(1) and never block while an appender seals new
 //!   segments.
-//! * **Morsel-driven executor** ([`executor`]): a persistent worker pool
-//!   fans multi-predicate queries (late materialization: per-column
-//!   imprint candidates → id-space merge-join → refinement) across
-//!   segments and merges the ordered per-segment id lists.
+//! * **One read pipeline** ([`Table::query_batch`]): every read — a
+//!   single query, a count, a server batch — resolves its predicates, pins
+//!   one consistent prefix, sweeps each sealed segment once (one task per
+//!   segment on the [`executor`]'s worker pool, answering every query of
+//!   the batch) and merges the ordered per-segment answers.
 //! * **Adaptive access paths** ([`paths`]): each segment column chooses
-//!   imprint vs. zonemap vs. scan — vs. a lazily built, byte-budgeted WAH
-//!   bitmap when configured — per query from observed cost, **bucketed by
-//!   predicate selectivity** so wide and narrow queries learn separate
-//!   winners (per-bucket EWMA + exploration cadence).
+//!   imprint vs. zonemap vs. scan per query from observed cost, **bucketed
+//!   by predicate selectivity** so wide and narrow queries learn separate
+//!   winners; conjunctions choose between a fused and a per-predicate plan
+//!   by the same cost model (EWMA + exploration cadence).
 //! * **Tail-indexed write head** ([`tail`]): once the open segment is
 //!   large enough, each open column buffer carries an incremental tail
 //!   imprint extended on every append (§4.1: appends never readjust
@@ -147,7 +148,8 @@ impl Engine {
 
     /// Evaluates a conjunctive query on the worker pool.
     pub fn query(&self, table: &str, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        self.catalog.table(table)?.query_on(&self.pool, preds)
+        let query = BatchQuery::ids(table::named(preds));
+        self.catalog.table(table)?.one(query, Some(&self.pool)).map(|(answer, _)| answer.into_ids())
     }
 
     /// Counts matching rows on the worker pool.

@@ -1,30 +1,30 @@
-//! Per-segment access-path choice, bucketed by predicate selectivity.
+//! Per-segment access-path and conjunction-plan choice by observed cost.
 //!
-//! Every sealed segment column can answer a range predicate several ways:
-//! through its **imprint**, through its **zonemap**, by **scanning**, or —
-//! when enabled and within its byte budget — through a **WAH bitmap**
-//! ([`baselines::WahBitmap`]). Which one is fastest depends on the
-//! segment's data (clustering, cardinality) *and* the predicate's
-//! selectivity: a point lookup on clustered data loves a skipping index,
-//! while a half-the-domain range is often cheapest to scan. The engine
-//! therefore treats the access path as a per-query decision informed by
-//! observed cost — the stance of learned/adaptive secondary indexing
-//! (LSI, AIM) rather than a fixed structure choice.
+//! Every sealed segment column can answer a range predicate three ways:
+//! through its **imprint**, through its **zonemap**, or by **scanning**.
+//! Which one is fastest depends on the segment's data (clustering,
+//! cardinality) *and* the predicate's selectivity: a point lookup on
+//! clustered data loves a skipping index, while a half-the-domain range is
+//! often cheapest to scan. The engine therefore treats the access path as a
+//! per-query decision informed by observed cost — the stance of
+//! learned/adaptive secondary indexing (LSI, AIM) rather than a fixed
+//! structure choice. The paper's compressed-bitmap baseline is not an
+//! engine path: it never won a bucket here, so it lives only in the
+//! `baselines` crate, for the figure experiments.
 //!
-//! [`PathChooser`] keeps an exponentially-weighted moving average of the
-//! observed evaluation cost per *registered* path, **bucketed by the
-//! predicate's estimated selectivity class** ([`NUM_BUCKETS`] classes,
-//! derived from the span the predicate covers over the segment's binning).
-//! Without the buckets a single EWMA conflates all predicates into one
-//! number, so a wide-predicate observation poisons the choice for narrow
-//! predicates and vice versa — exactly the query-shape mischoice the
-//! learned-index literature buckets to avoid. Each bucket exploits its own
-//! cheapest path and runs its own deterministic round-robin exploration
-//! probe every [`EXPLORE_PERIOD`]-th query, so a path whose relative cost
-//! changed (appends elsewhere, different predicate mix, post-rebuild) gets
-//! re-measured per class. All state is atomic: choosers live inside
-//! shared, immutable segments and are updated concurrently by many
-//! readers.
+//! One cost model serves every decision: `CostModel` keeps an
+//! exponentially-weighted moving average of the observed cost per slot,
+//! measures each slot once (bootstrap), probes the next slot in rotation
+//! every [`EXPLORE_PERIOD`]-th query, and otherwise exploits the cheapest
+//! estimate. [`PathChooser`] runs one model per **predicate selectivity
+//! class** ([`NUM_BUCKETS`] classes, derived from the span the predicate
+//! covers over the segment's binning): without the buckets a single EWMA
+//! conflates all predicates into one number, so a wide-predicate
+//! observation poisons the choice for narrow predicates and vice versa —
+//! exactly the query-shape mischoice the learned-index literature buckets
+//! to avoid. [`PlanChooser`] runs one model over the two conjunction plans
+//! ([`PlanKind`]). All state is atomic: choosers live inside shared,
+//! immutable segments and are updated concurrently by many readers.
 //!
 //! The observed costs are end-to-end wall clock, so they include each
 //! path's false-positive refinement work — which every path routes
@@ -34,7 +34,7 @@
 //! chooser simply re-learns from the new observations; no cost-model
 //! constant encodes the kernel.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One of the ways a segment column can answer a predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,26 +45,15 @@ pub enum PathKind {
     ZoneMap,
     /// A sequential scan of the segment.
     Scan,
-    /// The WAH-compressed bit-binned bitmap (lazily built, byte-budgeted).
-    Wah,
 }
 
 impl PathKind {
     /// All paths, in chooser slot order.
-    pub const ALL: [PathKind; MAX_PATHS] =
-        [PathKind::Imprints, PathKind::ZoneMap, PathKind::Scan, PathKind::Wah];
-
-    /// The three always-available paths (WAH needs a configured budget).
-    pub const CLASSIC: [PathKind; 3] = [PathKind::Imprints, PathKind::ZoneMap, PathKind::Scan];
+    pub const ALL: [PathKind; MAX_PATHS] = [PathKind::Imprints, PathKind::ZoneMap, PathKind::Scan];
 
     /// The chooser slot (index into cost arrays, [`PathKind::ALL`] order).
     pub fn slot(self) -> usize {
-        match self {
-            PathKind::Imprints => 0,
-            PathKind::ZoneMap => 1,
-            PathKind::Scan => 2,
-            PathKind::Wah => 3,
-        }
+        self as usize
     }
 
     /// Short name for reports.
@@ -73,20 +62,19 @@ impl PathKind {
             PathKind::Imprints => "imprints",
             PathKind::ZoneMap => "zonemap",
             PathKind::Scan => "scan",
-            PathKind::Wah => "wah",
         }
     }
 }
 
-/// Maximum number of registrable paths (chooser slot-array size).
-pub const MAX_PATHS: usize = 4;
+/// Number of access paths (chooser slot-array size).
+pub const MAX_PATHS: usize = 3;
 
 /// Selectivity classes a chooser can keep separate cost models for:
 /// point, narrow, mid, wide (in bin-span order).
 pub const NUM_BUCKETS: usize = 4;
 
-/// Every `EXPLORE_PERIOD`-th query *of a bucket* takes a forced
-/// exploration path.
+/// Every `EXPLORE_PERIOD`-th query of a cost model takes a forced
+/// exploration probe.
 pub const EXPLORE_PERIOD: u64 = 16;
 
 const UNSEEN: u64 = u64::MAX;
@@ -97,14 +85,100 @@ const UNSEEN: u64 = u64::MAX;
 /// recorded cost can never collide with the `UNSEEN` sentinel.
 const COST_CAP: u64 = 1 << 48;
 
-/// EWMA cost slots of one selectivity bucket.
+/// The one decision rule behind both choosers: an EWMA of observed cost
+/// per slot plus a query counter driving bootstrap and exploration.
 #[derive(Debug)]
-struct BucketState {
-    /// Queries this bucket has routed (its exploration cadence).
+struct CostModel<const N: usize> {
+    /// Decisions taken (the exploration cadence).
     queries: AtomicU64,
-    /// EWMA of observed cost (nanoseconds) per path slot; `UNSEEN` until
-    /// the first observation.
-    cost: [AtomicU64; MAX_PATHS],
+    /// EWMA of observed cost (nanoseconds) per slot; `UNSEEN` until the
+    /// first observation.
+    cost: [AtomicU64; N],
+}
+
+impl<const N: usize> Default for CostModel<N> {
+    fn default() -> Self {
+        CostModel {
+            queries: AtomicU64::new(0),
+            cost: std::array::from_fn(|_| AtomicU64::new(UNSEEN)),
+        }
+    }
+}
+
+impl<const N: usize> CostModel<N> {
+    /// Picks the slot for the next decision, advancing the cadence:
+    /// measure every slot once (`n % N`) before trusting any estimate;
+    /// then probe on every [`EXPLORE_PERIOD`]-th decision, rotating the
+    /// probed slot by *period* number (`n / P % N` — indexing by the raw
+    /// count would pin every probe to slot 0 whenever `N` divides `P`);
+    /// otherwise exploit the cheapest estimate, ties going to the lowest
+    /// slot.
+    fn choose(&self) -> usize {
+        let n = self.queries.fetch_add(1, Ordering::Relaxed);
+        let k = N as u64;
+        let est = self.cost.each_ref().map(|c| c.load(Ordering::Relaxed));
+        if est.contains(&UNSEEN) {
+            return (n % k) as usize;
+        }
+        if n.is_multiple_of(EXPLORE_PERIOD) {
+            return (n / EXPLORE_PERIOD % k) as usize;
+        }
+        (0..N).min_by_key(|&s| est[s]).unwrap_or(0)
+    }
+
+    /// Feeds back the observed cost of one evaluation through `slot`.
+    /// Costs are clamped to `1..=`[`COST_CAP`]: a sub-nanosecond (or
+    /// timer-floored zero) observation must not drive the EWMA to a
+    /// stuck-at-zero estimate that permanently wins between exploration
+    /// probes, and a pathological huge cost must not overflow the integer
+    /// recurrence.
+    fn record(&self, slot: usize, cost_nanos: u64) {
+        let slot = &self.cost[slot];
+        let cost = cost_nanos.clamp(1, COST_CAP);
+        let old = slot.load(Ordering::Relaxed);
+        let new = if old == UNSEEN {
+            cost
+        } else {
+            // Saturating keeps even a corrupted stored value from wrapping;
+            // the quotient stays ≥ 1 because both inputs are ≥ 1.
+            (old.saturating_mul(7).saturating_add(cost) / 8).max(1)
+        };
+        // A racy lost update only loses one observation; fine for a cost
+        // model.
+        slot.store(new, Ordering::Relaxed);
+    }
+
+    /// Current estimates in slot order (`None` = unseen).
+    fn estimates(&self) -> [Option<u64>; N] {
+        std::array::from_fn(|s| {
+            let c = self.cost[s].load(Ordering::Relaxed);
+            (c != UNSEEN).then_some(c)
+        })
+    }
+
+    /// The slot currently ranked cheapest (`None` until one is measured).
+    fn winner(&self) -> Option<usize> {
+        let est = self.estimates();
+        (0..N).filter_map(|s| est[s].map(|c| (c, s))).min().map(|(_, s)| s)
+    }
+
+    fn queries(&self) -> u64 {
+        self.queries.load(Ordering::Relaxed)
+    }
+
+    fn carry_over(&self) -> Self {
+        CostModel {
+            queries: AtomicU64::new(self.queries()),
+            cost: std::array::from_fn(|s| AtomicU64::new(self.cost[s].load(Ordering::Relaxed))),
+        }
+    }
+}
+
+/// One selectivity bucket: its path cost model plus its observed
+/// selectivity.
+#[derive(Debug, Default)]
+struct BucketState {
+    model: CostModel<MAX_PATHS>,
     /// Qualifying rows observed by queries of this bucket (selectivity
     /// numerator) — fed by evaluations that know their hit count.
     sel_hits: AtomicU64,
@@ -112,63 +186,31 @@ struct BucketState {
     sel_rows: AtomicU64,
 }
 
-impl Default for BucketState {
-    fn default() -> Self {
-        BucketState {
-            queries: AtomicU64::new(0),
-            cost: [(); MAX_PATHS].map(|()| AtomicU64::new(UNSEEN)),
-            sel_hits: AtomicU64::new(0),
-            sel_rows: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Adaptive chooser: per-selectivity-bucket EWMA cost per registered path
-/// plus periodic per-bucket exploration.
+/// Adaptive path chooser: one `CostModel` over the three paths per
+/// selectivity bucket.
 #[derive(Debug)]
 pub struct PathChooser {
-    /// Bit `slot` set = path registered at construction.
-    registered: u32,
-    /// Bit `slot` set = path currently eligible. Starts equal to
-    /// `registered`; a lazily built path that blew its byte budget is
-    /// cleared at runtime ([`PathChooser::disable`]).
-    enabled: AtomicU32,
     /// Active selectivity buckets (1 = the classic single-EWMA chooser).
     buckets: usize,
     state: [BucketState; NUM_BUCKETS],
 }
 
 impl Default for PathChooser {
-    /// The classic three-path chooser with full selectivity bucketing.
+    /// A chooser with full selectivity bucketing.
     fn default() -> Self {
-        PathChooser::new(&PathKind::CLASSIC, NUM_BUCKETS)
+        PathChooser::new(NUM_BUCKETS)
     }
 }
 
 impl PathChooser {
-    /// A chooser over `paths`, keeping `buckets` (1..=[`NUM_BUCKETS`])
-    /// separate selectivity classes.
+    /// A chooser keeping `buckets` (1..=[`NUM_BUCKETS`]) separate
+    /// selectivity classes.
     ///
     /// # Panics
-    /// Panics if `paths` is empty or `buckets` is out of range.
-    pub fn new(paths: &[PathKind], buckets: usize) -> PathChooser {
-        assert!(!paths.is_empty(), "a chooser needs at least one path");
+    /// Panics if `buckets` is out of range.
+    pub fn new(buckets: usize) -> PathChooser {
         assert!((1..=NUM_BUCKETS).contains(&buckets), "buckets must be in 1..={NUM_BUCKETS}");
-        let mut mask = 0u32;
-        for p in paths {
-            mask |= 1 << p.slot();
-        }
-        PathChooser {
-            registered: mask,
-            enabled: AtomicU32::new(mask),
-            buckets,
-            state: [(); NUM_BUCKETS].map(|()| BucketState::default()),
-        }
-    }
-
-    /// The registered paths, in slot order.
-    pub fn paths(&self) -> Vec<PathKind> {
-        PathKind::ALL.into_iter().filter(|p| self.registered & (1 << p.slot()) != 0).collect()
+        PathChooser { buckets, state: Default::default() }
     }
 
     /// Active selectivity buckets.
@@ -176,30 +218,8 @@ impl PathChooser {
         self.buckets
     }
 
-    /// Whether `path` is registered and still eligible.
-    pub fn is_enabled(&self, path: PathKind) -> bool {
-        self.enabled.load(Ordering::Relaxed) & (1 << path.slot()) != 0
-    }
-
-    /// Permanently removes `path` from consideration (e.g. its lazy build
-    /// exceeded the byte budget). At least one path always stays enabled:
-    /// the compare-exchange loop re-checks the invariant against the value
-    /// it swaps out, so concurrent disables of different paths cannot race
-    /// each other down to an empty set.
-    pub fn disable(&self, path: PathKind) {
-        let bit = 1u32 << path.slot();
-        let mut cur = self.enabled.load(Ordering::Relaxed);
-        while cur & !bit != 0 {
-            match self.enabled.compare_exchange_weak(
-                cur,
-                cur & !bit,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
+    fn bucket(&self, bucket: usize) -> &BucketState {
+        &self.state[bucket.min(self.buckets - 1)]
     }
 
     /// Maps a predicate spanning `width` of the binning's `bins` bins to
@@ -222,87 +242,13 @@ impl PathChooser {
     /// Picks the path for the next query of `bucket`, advancing the
     /// bucket's query cadence.
     pub fn choose(&self, bucket: usize) -> PathKind {
-        let b = &self.state[bucket.min(self.buckets - 1)];
-        let n = b.queries.fetch_add(1, Ordering::Relaxed);
-        self.pick(bucket, n)
-    }
-
-    /// Re-picks a path for the *same* query after the first choice turned
-    /// out unavailable mid-dispatch (the lazily built WAH path was just
-    /// rejected and disabled): the selection logic of [`PathChooser::choose`]
-    /// at the query's already-consumed cadence position, **without**
-    /// advancing the counter again — one user query counts once in
-    /// [`PathChooser::queries`] and the exploration cadence.
-    pub fn rechoose(&self, bucket: usize) -> PathKind {
-        let b = &self.state[bucket.min(self.buckets - 1)];
-        // The failed choose() already incremented; reuse its position.
-        // A concurrent interleaving can skew `n` by a few — harmless, it
-        // only shifts which path a bootstrap/probe re-pick lands on.
-        let n = b.queries.load(Ordering::Relaxed).wrapping_sub(1);
-        self.pick(bucket, n)
-    }
-
-    /// The selection logic shared by [`PathChooser::choose`] and
-    /// [`PathChooser::rechoose`]: bootstrap sweep, periodic rotating
-    /// probe, else cheapest EWMA among the enabled paths.
-    fn pick(&self, bucket: usize, n: u64) -> PathKind {
-        let b = &self.state[bucket.min(self.buckets - 1)];
-        let enabled = self.enabled.load(Ordering::Relaxed);
-        let mut live = [PathKind::Imprints; MAX_PATHS];
-        let mut k = 0;
-        for p in PathKind::ALL {
-            if enabled & (1 << p.slot()) != 0 {
-                live[k] = p;
-                k += 1;
-            }
-        }
-        debug_assert!(k > 0, "at least one path is always enabled");
-        // Bootstrap: measure each live path once in this bucket before
-        // trusting its EWMA.
-        if live[..k].iter().any(|p| b.cost[p.slot()].load(Ordering::Relaxed) == UNSEEN) {
-            return live[(n % k as u64) as usize];
-        }
-        // Steady state: keep probing on a fixed cadence, rotating the
-        // probed path across periods. The rotation must be indexed by the
-        // *period* number, not the raw query count: probes fire at
-        // n = 0, P, 2P, … and with `n % k` any `k` dividing
-        // [`EXPLORE_PERIOD`] (e.g. all four paths enabled, k = 4, P = 16)
-        // would map every probe to slot 0 and never re-measure the rest.
-        if n.is_multiple_of(EXPLORE_PERIOD) {
-            return live[((n / EXPLORE_PERIOD) % k as u64) as usize];
-        }
-        let mut best = live[0];
-        let mut best_cost = u64::MAX;
-        for &p in &live[..k] {
-            let c = b.cost[p.slot()].load(Ordering::Relaxed);
-            if c < best_cost {
-                best_cost = c;
-                best = p;
-            }
-        }
-        best
+        PathKind::ALL[self.bucket(bucket).model.choose()]
     }
 
     /// Feeds back the observed cost of one evaluation over `path` for a
-    /// query of `bucket`. Costs are clamped to `1..=`[`COST_CAP`]: a
-    /// sub-nanosecond (or timer-floored zero) observation must not drive
-    /// the EWMA to a stuck-at-zero estimate that permanently wins between
-    /// exploration probes, and a pathological huge cost must not overflow
-    /// the integer recurrence.
+    /// query of `bucket` (see `CostModel`'s clamped EWMA).
     pub fn record(&self, bucket: usize, path: PathKind, cost_nanos: u64) {
-        let slot = &self.state[bucket.min(self.buckets - 1)].cost[path.slot()];
-        let cost = cost_nanos.clamp(1, COST_CAP);
-        let old = slot.load(Ordering::Relaxed);
-        let new = if old == UNSEEN {
-            cost
-        } else {
-            // Saturating keeps even a corrupted stored value from wrapping;
-            // the quotient stays ≥ 1 because both inputs are ≥ 1.
-            (old.saturating_mul(7).saturating_add(cost) / 8).max(1)
-        };
-        // A racy lost update only loses one observation; fine for a cost
-        // model.
-        slot.store(new, Ordering::Relaxed);
+        self.bucket(bucket).model.record(path.slot(), cost_nanos);
     }
 
     /// Records an observed selectivity sample for `bucket`: `hits`
@@ -310,7 +256,7 @@ impl PathChooser {
     /// cumulative ratio is the per-bucket selectivity estimate a
     /// conjunction plan orders its predicates by (most selective first).
     pub fn record_selectivity(&self, bucket: usize, hits: u64, total: u64) {
-        let b = &self.state[bucket.min(self.buckets - 1)];
+        let b = self.bucket(bucket);
         b.sel_hits.fetch_add(hits, Ordering::Relaxed);
         b.sel_rows.fetch_add(total, Ordering::Relaxed);
     }
@@ -319,7 +265,7 @@ impl PathChooser {
     /// rows its queries ranged over, in `[0, 1]`. `None` before any
     /// sample.
     pub fn selectivity(&self, bucket: usize) -> Option<f64> {
-        let b = &self.state[bucket.min(self.buckets - 1)];
+        let b = self.bucket(bucket);
         let rows = b.sel_rows.load(Ordering::Relaxed);
         if rows == 0 {
             return None;
@@ -329,24 +275,20 @@ impl PathChooser {
     }
 
     /// Current EWMA cost estimates of one bucket, in chooser slot order
-    /// (`None` = unseen or unregistered).
+    /// (`None` = unseen).
     pub fn estimates_for(&self, bucket: usize) -> [Option<u64>; MAX_PATHS] {
-        let b = &self.state[bucket.min(self.buckets - 1)];
-        [0, 1, 2, 3].map(|i| {
-            let c = b.cost[i].load(Ordering::Relaxed);
-            (c != UNSEEN).then_some(c)
-        })
+        self.bucket(bucket).model.estimates()
     }
 
     /// Cheapest seen estimate per path across all buckets (`None` = never
     /// measured anywhere) — the "has this path been explored at all" view
     /// used by reports and tests.
     pub fn estimates(&self) -> [Option<u64>; MAX_PATHS] {
-        let mut out = [None; MAX_PATHS];
+        let mut out: [Option<u64>; MAX_PATHS] = [None; MAX_PATHS];
         for bucket in 0..self.buckets {
             for (slot, est) in self.estimates_for(bucket).into_iter().enumerate() {
                 out[slot] = match (out[slot], est) {
-                    (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
+                    (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
                 };
             }
@@ -355,72 +297,46 @@ impl PathChooser {
     }
 
     /// The path a bucket currently ranks cheapest (`None` until the bucket
-    /// has measured at least one enabled path).
+    /// has measured at least one path).
     pub fn winner(&self, bucket: usize) -> Option<PathKind> {
-        let est = self.estimates_for(bucket);
-        let enabled = self.enabled.load(Ordering::Relaxed);
-        PathKind::ALL
-            .into_iter()
-            .filter(|p| enabled & (1 << p.slot()) != 0)
-            .filter_map(|p| est[p.slot()].map(|c| (c, p)))
-            .min_by_key(|(c, _)| *c)
-            .map(|(_, p)| p)
+        self.bucket(bucket).model.winner().map(|s| PathKind::ALL[s])
     }
 
     /// Queries routed through this chooser, across all buckets.
     pub fn queries(&self) -> u64 {
-        self.state.iter().map(|b| b.queries.load(Ordering::Relaxed)).sum()
+        self.state.iter().map(|b| b.model.queries()).sum()
     }
 
     /// Queries routed through one bucket.
     pub fn bucket_queries(&self, bucket: usize) -> u64 {
-        self.state[bucket.min(self.buckets - 1)].queries.load(Ordering::Relaxed)
+        self.bucket(bucket).model.queries()
     }
 
-    /// A copy with the same registration, counters and learned costs —
-    /// used when a sibling column's rebuild swaps the segment but this
-    /// column's index is unchanged, so its cost model stays valid. A
-    /// compaction merge must **not** carry choosers over: the merged
-    /// segment's data volume and index are nothing like any input's, so
-    /// its columns start fresh and re-explore (see
+    /// A copy with the same counters and learned costs — used when a
+    /// sibling column's rebuild swaps the segment but this column's index
+    /// is unchanged, so its cost model stays valid. A compaction merge
+    /// must **not** carry choosers over: the merged segment's data volume
+    /// and index are nothing like any input's, so its columns start fresh
+    /// and re-explore (see
     /// [`SealedSegment::merge`](crate::segment::SealedSegment::merge)).
     pub fn carry_over(&self) -> PathChooser {
         PathChooser {
-            registered: self.registered,
-            enabled: AtomicU32::new(self.enabled.load(Ordering::Relaxed)),
             buckets: self.buckets,
-            state: [0, 1, 2, 3].map(|i| BucketState {
-                queries: AtomicU64::new(self.state[i].queries.load(Ordering::Relaxed)),
-                cost: [0, 1, 2, 3]
-                    .map(|s| AtomicU64::new(self.state[i].cost[s].load(Ordering::Relaxed))),
-                sel_hits: AtomicU64::new(self.state[i].sel_hits.load(Ordering::Relaxed)),
-                sel_rows: AtomicU64::new(self.state[i].sel_rows.load(Ordering::Relaxed)),
+            state: std::array::from_fn(|i| {
+                let b = &self.state[i];
+                BucketState {
+                    model: b.model.carry_over(),
+                    sel_hits: AtomicU64::new(b.sel_hits.load(Ordering::Relaxed)),
+                    sel_rows: AtomicU64::new(b.sel_rows.load(Ordering::Relaxed)),
+                }
             }),
         }
     }
 
-    /// A fresh chooser with the same registration and bucket count but no
-    /// learned state — what a rebuilt or merged segment column starts
-    /// from.
+    /// A fresh chooser with the same bucket count but no learned state —
+    /// what a rebuilt or merged segment column starts from.
     pub fn fresh_like(&self) -> PathChooser {
-        PathChooser {
-            registered: self.registered,
-            enabled: AtomicU32::new(self.registered),
-            buckets: self.buckets,
-            state: [(); NUM_BUCKETS].map(|()| BucketState::default()),
-        }
-    }
-
-    /// Forgets learned costs (after a rebuild changed the index) and
-    /// restores every registered path's eligibility — a rebuilt index
-    /// also gets a fresh chance at its lazily built paths.
-    pub fn reset(&self) {
-        for b in &self.state {
-            for c in &b.cost {
-                c.store(UNSEEN, Ordering::Relaxed);
-            }
-        }
-        self.enabled.store(self.registered, Ordering::Relaxed);
+        PathChooser::new(self.buckets)
     }
 }
 
@@ -444,10 +360,7 @@ impl PlanKind {
 
     /// The chooser slot.
     pub fn slot(self) -> usize {
-        match self {
-            PlanKind::Fused => 0,
-            PlanKind::PerPred => 1,
-        }
+        self as usize
     }
 
     /// Short name for reports.
@@ -460,22 +373,12 @@ impl PlanKind {
 }
 
 /// Adaptive two-strategy chooser for multi-predicate plans — the same
-/// EWMA-plus-exploration scheme as [`PathChooser`], one cost model per
-/// [`PlanKind`]. One instance serves one (segment, predicate-column-set)
-/// pair: the segment's plan cache keys these by the sorted column indices
-/// of the conjunction, so `(a, b)` and `(a, c)` learn independent
-/// winners.
-#[derive(Debug)]
-pub struct PlanChooser {
-    queries: AtomicU64,
-    cost: [AtomicU64; 2],
-}
-
-impl Default for PlanChooser {
-    fn default() -> Self {
-        PlanChooser { queries: AtomicU64::new(0), cost: [(); 2].map(|()| AtomicU64::new(UNSEEN)) }
-    }
-}
+/// `CostModel` as one [`PathChooser`] bucket, over the [`PlanKind`]s.
+/// One instance serves one (segment, predicate-column-set) pair: the
+/// segment's plan cache keys these by the sorted column indices of the
+/// conjunction, so `(a, b)` and `(a, c)` learn independent winners.
+#[derive(Debug, Default)]
+pub struct PlanChooser(CostModel<2>);
 
 impl PlanChooser {
     /// A chooser with no learned state.
@@ -484,71 +387,95 @@ impl PlanChooser {
     }
 
     /// Picks the strategy for the next multi-predicate query, advancing
-    /// the exploration cadence: bootstrap both once, probe on the
-    /// [`EXPLORE_PERIOD`] cadence (alternating the probed strategy), else
-    /// exploit the cheaper EWMA.
+    /// the exploration cadence.
     pub fn choose(&self) -> PlanKind {
-        let n = self.queries.fetch_add(1, Ordering::Relaxed);
-        if PlanKind::ALL.iter().any(|p| self.cost[p.slot()].load(Ordering::Relaxed) == UNSEEN) {
-            return PlanKind::ALL[(n % 2) as usize];
-        }
-        if n.is_multiple_of(EXPLORE_PERIOD) {
-            return PlanKind::ALL[((n / EXPLORE_PERIOD) % 2) as usize];
-        }
-        let fused = self.cost[PlanKind::Fused.slot()].load(Ordering::Relaxed);
-        let per = self.cost[PlanKind::PerPred.slot()].load(Ordering::Relaxed);
-        if fused <= per {
-            PlanKind::Fused
-        } else {
-            PlanKind::PerPred
-        }
+        PlanKind::ALL[self.0.choose()]
     }
 
-    /// Feeds back the observed cost of one evaluation (same clamped EWMA
-    /// as [`PathChooser::record`]).
+    /// Feeds back the observed cost of one evaluation.
     pub fn record(&self, plan: PlanKind, cost_nanos: u64) {
-        let slot = &self.cost[plan.slot()];
-        let cost = cost_nanos.clamp(1, COST_CAP);
-        let old = slot.load(Ordering::Relaxed);
-        let new = if old == UNSEEN {
-            cost
-        } else {
-            (old.saturating_mul(7).saturating_add(cost) / 8).max(1)
-        };
-        slot.store(new, Ordering::Relaxed);
+        self.0.record(plan.slot(), cost_nanos);
     }
 
     /// Multi-predicate queries routed through this chooser.
     pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.0.queries()
     }
 
     /// Current EWMA cost estimates, in [`PlanKind::ALL`] slot order
     /// (`None` = unseen).
     pub fn estimates(&self) -> [Option<u64>; 2] {
-        [0, 1].map(|i| {
-            let c = self.cost[i].load(Ordering::Relaxed);
-            (c != UNSEEN).then_some(c)
-        })
+        self.0.estimates()
     }
 
     /// The strategy currently ranked cheapest (`None` until one is
     /// measured).
     pub fn winner(&self) -> Option<PlanKind> {
-        PlanKind::ALL
-            .into_iter()
-            .filter_map(|p| {
-                let c = self.cost[p.slot()].load(Ordering::Relaxed);
-                (c != UNSEEN).then_some((c, p))
-            })
-            .min_by_key(|(c, _)| *c)
-            .map(|(_, p)| p)
+        self.0.winner().map(|s| PlanKind::ALL[s])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins the exact decision sequence of both choosers under fixed
+    /// costs: the bootstrap sweep in slot order, the rotating probe at
+    /// n = 16, 32, 48, …, ties going to slot 0, and the flip once the costs
+    /// swap at n = 48. Any change to the selection rule shows up here.
+    #[test]
+    fn chooser_decision_sequence_is_pinned() {
+        let paths = PathChooser::default();
+        let mut seq = String::new();
+        for n in 0..96 {
+            let p = paths.choose(0);
+            seq.push(match p {
+                PathKind::Imprints => 'I',
+                PathKind::ZoneMap => 'Z',
+                PathKind::Scan => 'S',
+            });
+            let cost = match (n < 48, p) {
+                (true, PathKind::Scan) => 400,
+                (true, _) => 100,
+                (false, PathKind::Scan) => 10,
+                (false, _) => 900,
+            };
+            paths.record(0, p, cost);
+        }
+        let expect = [
+            "IZSIIIIIIIIIIIII", // bootstrap I, Z, S; then the I/Z tie goes to slot 0
+            "ZIIIIIIIIIIIIIII", // n = 16 probes slot 1
+            "SIIIIIIIIIIIIIII", // n = 32 probes slot 2
+            "IZIZIZIZSSSSSSSS", // costs swapped: the EWMAs climb until scan wins
+            "ZSSSSSSSSSSSSSSS", // n = 64 probes slot 1
+            "SSSSSSSSSSSSSSSS", // n = 80 probes slot 2
+        ]
+        .concat();
+        assert_eq!(seq, expect);
+
+        let plans = PlanChooser::new();
+        let mut seq = String::new();
+        for n in 0..96 {
+            let p = plans.choose();
+            seq.push(if p == PlanKind::Fused { 'F' } else { 'P' });
+            let cost = match (n < 48, p) {
+                (true, _) => 100,
+                (false, PlanKind::Fused) => 900,
+                (false, PlanKind::PerPred) => 10,
+            };
+            plans.record(p, cost);
+        }
+        let expect = [
+            "FPFFFFFFFFFFFFFF", // bootstrap F, P; then the tie goes to slot 0
+            "PFFFFFFFFFFFFFFF", // n = 16 probes slot 1
+            "FFFFFFFFFFFFFFFF", // n = 32 probes slot 0
+            "PPPPPPPPPPPPPPPP", // costs swapped: the n = 48 probe finds per-pred
+            "FPPPPPPPPPPPPPPP", // n = 64 probes slot 0
+            "PPPPPPPPPPPPPPPP", // n = 80 probes slot 1
+        ]
+        .concat();
+        assert_eq!(seq, expect);
+    }
 
     #[test]
     fn explores_all_paths_then_exploits_cheapest() {
@@ -560,16 +487,11 @@ mod tests {
                 PathKind::Imprints => 9_000,
                 PathKind::ZoneMap => 5_000,
                 PathKind::Scan => 1_000,
-                PathKind::Wah => unreachable!("wah not registered by default"),
             };
             ch.record(0, p, cost);
         }
         let est = ch.estimates_for(0);
-        assert!(
-            est[..3].iter().all(Option::is_some),
-            "all registered paths must have been explored"
-        );
-        assert_eq!(est[PathKind::Wah.slot()], None, "unregistered path never measured");
+        assert!(est.iter().all(Option::is_some), "every path must have been explored");
         // Exploitation picks scan on non-probe queries.
         let picks: Vec<PathKind> = (0..EXPLORE_PERIOD - 1).map(|_| ch.choose(0)).collect();
         let scans = picks.iter().filter(|p| **p == PathKind::Scan).count();
@@ -582,7 +504,7 @@ mod tests {
     /// would blend them into one.
     #[test]
     fn buckets_learn_separate_winners() {
-        let ch = PathChooser::new(&PathKind::ALL, NUM_BUCKETS);
+        let ch = PathChooser::new(NUM_BUCKETS);
         let narrow = 1; // e.g. a few bins wide
         let wide = 3;
         for _ in 0..96 {
@@ -605,7 +527,7 @@ mod tests {
         assert!(wide_picks.iter().filter(|p| **p == PathKind::Scan).count() >= 6, "{wide_picks:?}");
         // A single-bucket chooser fed the same mixed stream picks ONE path
         // for both classes — the mischoice the buckets exist to avoid.
-        let single = PathChooser::new(&PathKind::ALL, 1);
+        let single = PathChooser::new(1);
         for _ in 0..96 {
             let p = single.choose(narrow);
             single.record(narrow, p, if p == PathKind::Imprints { 500 } else { 20_000 });
@@ -619,16 +541,15 @@ mod tests {
         );
     }
 
-    /// Regression: with all four paths enabled, k = 4 divides
-    /// `EXPLORE_PERIOD` = 16, so a probe indexed by `n % k` would land on
-    /// slot 0 every single time and zonemap/scan/WAH would never be
-    /// re-measured after bootstrap. The rotation must walk every enabled
-    /// path across consecutive probe periods.
+    /// Regression: a probe indexed by `n % k` lands on slot 0 every time
+    /// whenever k divides `EXPLORE_PERIOD`, so the other paths would never
+    /// be re-measured after bootstrap. The rotation must walk every path
+    /// across consecutive probe periods.
     #[test]
-    fn exploration_probes_rotate_across_all_enabled_paths() {
-        let ch = PathChooser::new(&PathKind::ALL, 1);
-        // Bootstrap: all four measured once, imprints cheapest.
-        for _ in 0..4 {
+    fn exploration_probes_rotate_across_all_paths() {
+        let ch = PathChooser::new(1);
+        // Bootstrap: all three measured once, imprints cheapest.
+        for _ in 0..3 {
             let p = ch.choose(0);
             ch.record(0, p, if p == PathKind::Imprints { 100 } else { 5_000 });
         }
@@ -636,7 +557,7 @@ mod tests {
         // periods; non-probe queries exploit and are recorded cheap so the
         // winner never changes underneath the test.
         let mut probed = Vec::new();
-        for n in 4..(EXPLORE_PERIOD * 5) {
+        for n in 3..(EXPLORE_PERIOD * 5) {
             let p = ch.choose(0);
             if n.is_multiple_of(EXPLORE_PERIOD) {
                 probed.push(p);
@@ -648,23 +569,23 @@ mod tests {
         distinct.dedup();
         assert_eq!(
             distinct.len(),
-            4,
-            "probes must rotate through every enabled path, visited only {probed:?}"
+            MAX_PATHS,
+            "probes must rotate through every path, visited only {probed:?}"
         );
     }
 
     /// After a path's relative cost flips, the rotating probe re-measures
-    /// it even in the 4-path configuration where `EXPLORE_PERIOD % k == 0`.
+    /// it and the winner follows.
     #[test]
-    fn four_path_chooser_adapts_when_costs_flip() {
-        let ch = PathChooser::new(&PathKind::ALL, 1);
+    fn three_path_chooser_adapts_when_costs_flip() {
+        let ch = PathChooser::new(1);
         for _ in 0..64 {
             let p = ch.choose(0);
             ch.record(0, p, if p == PathKind::Imprints { 100 } else { 10_000 });
         }
         assert_eq!(ch.winner(0), Some(PathKind::Imprints));
         // Scan becomes the cheapest path: probes must discover it.
-        for _ in 0..EXPLORE_PERIOD * 2 * 4 {
+        for _ in 0..EXPLORE_PERIOD * 2 * MAX_PATHS as u64 {
             let p = ch.choose(0);
             ch.record(0, p, if p == PathKind::Scan { 50 } else { 20_000 });
         }
@@ -673,7 +594,7 @@ mod tests {
 
     #[test]
     fn bucket_of_span_classes() {
-        let ch = PathChooser::new(&PathKind::CLASSIC, NUM_BUCKETS);
+        let ch = PathChooser::new(NUM_BUCKETS);
         assert_eq!(ch.bucket_of_span(1, 64), 0); // point
         assert_eq!(ch.bucket_of_span(4, 64), 1); // ≤ 1/8
         assert_eq!(ch.bucket_of_span(8, 64), 1);
@@ -684,7 +605,7 @@ mod tests {
         assert_eq!(ch.bucket_of_span(1, 8), 0);
         assert_eq!(ch.bucket_of_span(8, 8), 3);
         // A single-bucket chooser maps everything to 0.
-        let single = PathChooser::new(&PathKind::CLASSIC, 1);
+        let single = PathChooser::new(1);
         for width in [1, 4, 20, 64] {
             assert_eq!(single.bucket_of_span(width, 64), 0);
         }
@@ -701,7 +622,7 @@ mod tests {
             ch.record(0, p, if p == PathKind::Scan { 0 } else { 4 });
         }
         let est = ch.estimates_for(0);
-        for p in PathKind::CLASSIC {
+        for p in PathKind::ALL {
             let c = est[p.slot()].unwrap();
             assert!(c >= 1, "{} EWMA floored to {c}", p.name());
         }
@@ -716,12 +637,12 @@ mod tests {
     fn record_saturates_huge_costs() {
         let ch = PathChooser::default();
         for _ in 0..8 {
-            for p in PathKind::CLASSIC {
+            for p in PathKind::ALL {
                 ch.record(0, p, u64::MAX);
             }
         }
         let est = ch.estimates_for(0);
-        for p in PathKind::CLASSIC {
+        for p in PathKind::ALL {
             let c = est[p.slot()].expect("huge costs must still be recorded");
             assert!(c <= COST_CAP, "{} estimate {c} escaped the cap", p.name());
         }
@@ -730,117 +651,40 @@ mod tests {
         assert!(ch.estimates_for(0)[PathKind::Scan.slot()].unwrap() < COST_CAP);
     }
 
-    /// Review regression: a mid-dispatch re-pick (chosen path disabled by
-    /// the failed lazy WAH build) must not advance the cadence — one user
-    /// query counts once in `queries()` and the exploration schedule.
-    #[test]
-    fn rechoose_does_not_advance_cadence() {
-        let ch = PathChooser::new(&PathKind::ALL, 1);
-        let first = ch.choose(0);
-        assert_eq!(ch.bucket_queries(0), 1);
-        ch.disable(PathKind::Wah);
-        let again = ch.rechoose(0);
-        assert_eq!(ch.bucket_queries(0), 1, "rechoose must not count a second query");
-        assert_ne!(again, PathKind::Wah, "rechoose must avoid the just-disabled path");
-        let _ = (first, again);
-        // Steady state: rechoose picks among enabled paths only.
-        for _ in 0..8 {
-            let p = ch.choose(0);
-            ch.record(0, p, 1_000);
-        }
-        for _ in 0..8 {
-            assert_ne!(ch.rechoose(0), PathKind::Wah);
-        }
-        assert_eq!(ch.queries(), 9);
-    }
-
-    #[test]
-    fn disable_removes_path_from_rotation() {
-        let ch = PathChooser::new(&PathKind::ALL, 2);
-        assert!(ch.is_enabled(PathKind::Wah));
-        ch.disable(PathKind::Wah);
-        assert!(!ch.is_enabled(PathKind::Wah));
-        for _ in 0..64 {
-            let p = ch.choose(0);
-            assert_ne!(p, PathKind::Wah, "disabled path must never be chosen");
-            ch.record(0, p, 1_000);
-        }
-        // The bootstrap sweep completes without the disabled path.
-        assert!(ch.estimates_for(0)[..3].iter().all(Option::is_some));
-        // The last enabled path can never be disabled.
-        for p in PathKind::ALL {
-            ch.disable(p);
-        }
-        assert!(PathKind::ALL.into_iter().any(|p| ch.is_enabled(p)));
-    }
-
     /// The compaction-swap contract, shallow-clone side: a column whose
     /// index survived the swap keeps its learned costs, query cadence and
     /// eligibility byte-for-byte.
     #[test]
     fn carry_over_preserves_costs_and_cadence() {
-        let ch = PathChooser::new(&PathKind::ALL, NUM_BUCKETS);
-        ch.disable(PathKind::Wah);
+        let ch = PathChooser::new(NUM_BUCKETS);
         for _ in 0..40 {
             let p = ch.choose(2);
             let cost = match p {
                 PathKind::Imprints => 2_000,
                 PathKind::ZoneMap => 700,
                 PathKind::Scan => 9_000,
-                PathKind::Wah => unreachable!("disabled"),
             };
             ch.record(2, p, cost);
         }
         let copy = ch.carry_over();
         assert_eq!(copy.estimates_for(2), ch.estimates_for(2));
         assert_eq!(copy.queries(), ch.queries());
-        assert!(!copy.is_enabled(PathKind::Wah), "budget rejection must survive the clone");
         // The copy exploits the same winner the original learned.
         let picks: Vec<PathKind> = (0..8).map(|_| copy.choose(2)).collect();
         assert!(picks.iter().filter(|p| **p == PathKind::ZoneMap).count() >= 6, "{picks:?}");
     }
 
-    /// The compaction-swap contract, merged-segment side: stale
-    /// per-segment estimates must not be trusted — `reset` drops every
-    /// learned cost and forces the bootstrap exploration sweep, exactly
-    /// what a fresh chooser does after a merge changed the index.
     #[test]
-    fn reset_forgets_costs_and_forces_reexploration() {
-        let ch = PathChooser::default();
-        for _ in 0..40 {
-            let p = ch.choose(0);
-            ch.record(0, p, if p == PathKind::Scan { 100 } else { 50_000 });
-        }
-        assert!(ch.estimates_for(0)[..3].iter().all(Option::is_some));
-        ch.reset();
-        assert_eq!(ch.estimates(), [None; MAX_PATHS], "reset must forget all learned costs");
-        // Until every path is re-measured, choose() is in the bootstrap
-        // branch: it cycles deterministically instead of exploiting the
-        // (forgotten) scan winner.
-        let picks: Vec<PathKind> = (0..3).map(|_| ch.choose(0)).collect();
-        let mut distinct = picks.clone();
-        distinct.sort_by_key(|p| p.slot());
-        distinct.dedup();
-        assert_eq!(distinct.len(), 3, "bootstrap must probe all three paths: {picks:?}");
-        // Query cadence survives reset (it is not a new segment, the same
-        // one just got a new index).
-        assert_eq!(ch.queries(), 43);
-    }
-
-    #[test]
-    fn fresh_like_keeps_registration_only() {
-        let ch = PathChooser::new(&PathKind::ALL, 2);
-        ch.disable(PathKind::Wah);
+    fn fresh_like_keeps_bucket_count_only() {
+        let ch = PathChooser::new(2);
         for _ in 0..20 {
             let p = ch.choose(1);
             ch.record(1, p, 500);
         }
         let fresh = ch.fresh_like();
-        assert_eq!(fresh.paths(), ch.paths());
         assert_eq!(fresh.bucket_count(), 2);
         assert_eq!(fresh.queries(), 0);
         assert_eq!(fresh.estimates(), [None; MAX_PATHS]);
-        assert!(fresh.is_enabled(PathKind::Wah), "a rebuilt column re-earns its lazy paths");
     }
 
     #[test]

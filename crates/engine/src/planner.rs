@@ -256,10 +256,6 @@ pub struct ColumnPathReport {
     pub column: String,
     /// Sealed segments inspected.
     pub segments: usize,
-    /// Segments whose WAH bitmap was built within budget.
-    pub wah_built: usize,
-    /// Segments whose WAH build exceeded the budget and fell back.
-    pub wah_rejected: usize,
     /// One entry per selectivity bucket (index = bucket).
     pub buckets: Vec<BucketPathReport>,
 }
@@ -277,19 +273,11 @@ pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
                 table: table.name().to_string(),
                 column: def.name.clone(),
                 segments: sealed.len(),
-                wah_built: 0,
-                wah_rejected: 0,
                 buckets: vec![BucketPathReport::default(); NUM_BUCKETS],
             };
             let mut sel_segments = [0u64; NUM_BUCKETS];
             for seg in sealed.iter() {
-                let col = &seg.columns()[ci];
-                match col.wah_built() {
-                    Some(true) => report.wah_built += 1,
-                    Some(false) => report.wah_rejected += 1,
-                    None => {}
-                }
-                let chooser = col.chooser();
+                let chooser = seg.columns()[ci].chooser();
                 for (b, bucket) in
                     report.buckets.iter_mut().enumerate().take(chooser.bucket_count())
                 {
@@ -391,9 +379,10 @@ pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
                 report.skipped += degraded.len();
             }
         }
+        let examined = sealed.last().map_or(0, |s| s.base() + s.rows() as u64);
         // The snapshot pins every segment swapped out above.
         drop(sealed);
-        compact_table(&table, &cfg, &mut report);
+        compact_table(&table, &cfg, examined, &mut report);
         evict_cold(&table, &mut report);
         table.reclaim();
     }
@@ -454,7 +443,18 @@ fn evict_cold(table: &Table, report: &mut MaintenanceReport) {
 /// tier-1 segments that immediately merge into a tier-2), stopping when
 /// the plan is empty, the byte budget is spent, or a swap loses a race
 /// (stale snapshot; the next tick retries).
-fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut MaintenanceReport) {
+///
+/// Only segments ending at or before row `examined` — the end of the
+/// snapshot this tick's rebuild pass diagnosed — are merged. A segment
+/// sealed mid-tick waits for the next tick: a merge output is self-sampled
+/// and never rebuilt, so merging a drifted segment before any rebuild pass
+/// saw it would hide its drift for good.
+fn compact_table(
+    table: &Table,
+    cfg: &MaintenanceConfig,
+    examined: u64,
+    report: &mut MaintenanceReport,
+) {
     let budget = match cfg.compaction_budget_bytes {
         0 => usize::MAX,
         b => b,
@@ -462,7 +462,8 @@ fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut Maintenanc
     let mut spent = 0usize;
     loop {
         let sealed = table.sealed_snapshot();
-        let plan = plan_compactions_for(table, &sealed);
+        let seen = sealed.partition_point(|s| s.base() + s.rows() as u64 <= examined);
+        let plan = plan_compactions_for(table, &sealed[..seen]);
         if plan.is_empty() {
             return;
         }
@@ -862,7 +863,6 @@ mod tests {
         let col = &reports[0];
         assert_eq!((col.table.as_str(), col.column.as_str()), ("pr", "v"));
         assert_eq!(col.segments, 4);
-        assert_eq!(col.wah_built + col.wah_rejected, 0, "wah disabled by default");
         let active: Vec<usize> =
             (0..col.buckets.len()).filter(|&b| col.buckets[b].queries > 0).collect();
         assert_eq!(active.len(), 1, "one selectivity class queried: {:?}", col.buckets);
@@ -933,6 +933,40 @@ mod tests {
         assert!(report.compaction_bytes > 0);
         assert_eq!(t.query(&pred).unwrap(), before, "compaction must not change answers");
         assert!(maintenance_tick(&cat).is_idle(), "a compacted table has nothing left to do");
+    }
+
+    /// A segment sealed after the tick's rebuild pass took its snapshot is
+    /// not merged in that tick; the next tick diagnoses it, then merges it.
+    #[test]
+    fn compaction_skips_segments_sealed_after_the_examined_snapshot() {
+        let cat = Catalog::new();
+        let cfg = EngineConfig {
+            segment_rows: 128,
+            maintenance: crate::config::MaintenanceConfig {
+                tier_fanin: 2,
+                compaction_budget_bytes: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let t = cat.create_table("late", &[("v", ColumnType::I64)], cfg).unwrap();
+        t.append_batch(vec![AnyColumn::I64((0..256).collect())]).unwrap();
+        let examined = t.sealed_snapshot();
+        let end = examined.last().map(|s| s.base() + s.rows() as u64).unwrap();
+        // Two more segments seal while the tick is between its passes.
+        t.append_batch(vec![AnyColumn::I64((256..512).collect())]).unwrap();
+        let late: Vec<Arc<SealedSegment>> = t.sealed_snapshot()[2..].to_vec();
+        let mut report = MaintenanceReport::default();
+        compact_table(&t, &t.config().maintenance, end, &mut report);
+        assert_eq!(report.compacted.len(), 1, "only the examined pair merges: {report:?}");
+        let sealed = t.sealed_snapshot();
+        assert_eq!(sealed.len(), 3);
+        assert!(sealed[1..].iter().zip(&late).all(|(s, l)| Arc::ptr_eq(s, l)));
+        // The next tick examines the late pair and merges everything.
+        maintenance_tick(&cat);
+        assert_eq!(t.sealed_segment_count(), 1);
+        let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(400)))];
+        assert_eq!(t.query(&pred).unwrap().len(), 301);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Each sealed segment owns, per column, a cacheline-aligned data chunk and
 //! its own secondary indexes: a [`ColumnImprints`] (the primary access
 //! path, with a bounded rebuild scope — re-binning one segment never
-//! touches its neighbours), a [`ZoneMap`], and optionally a lazily built,
-//! byte-budgeted [`WahBitmap`] — plus an adaptive, selectivity-bucketed
-//! [`PathChooser`] deciding per query which path answers.
+//! touches its neighbours) and a [`ZoneMap`] — plus an adaptive,
+//! selectivity-bucketed [`PathChooser`] deciding per query whether the
+//! imprint, the zonemap or a scan answers.
 //!
 //! Sealed segments are immutable and shared via `Arc`: queries, appends and
 //! the maintenance planner never copy data, they swap segment pointers.
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use baselines::{SeqScan, WahBitmap, WahVector, ZoneMap};
+use baselines::{SeqScan, ZoneMap};
 use colstore::index::BuildableIndex;
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, Bound, CachelineSet, Column, IdList, RangeIndex, Scalar, Value};
@@ -205,58 +205,12 @@ impl ColumnObservations {
     }
 }
 
-/// The lazily built, byte-budgeted WAH bitmap path of one segment column.
-///
-/// `budget == 0` means the path is disabled by configuration (never
-/// registered with the chooser). Otherwise the cell starts empty and the
-/// bitmap is built — sharing the imprint's binning, as the paper's §6
-/// evaluation does for fairness — the first time the chooser routes a
-/// query to [`PathKind::Wah`]; a bitmap that comes out larger than the
-/// budget is discarded (`Some(None)`) and the chooser's WAH slot is
-/// disabled, leaving the three classic paths.
-#[derive(Debug)]
-struct WahSlot<T: Scalar> {
-    budget: usize,
-    cell: OnceLock<Option<WahBitmap<T>>>,
-}
-
-impl<T: Scalar> WahSlot<T> {
-    fn new(budget: usize) -> Self {
-        WahSlot { budget, cell: OnceLock::new() }
-    }
-
-    /// An empty slot with the same budget (rebuilt/merged columns re-earn
-    /// their lazy build).
-    fn fresh(&self) -> Self {
-        WahSlot::new(self.budget)
-    }
-
-    /// A clone keeping the built (or rejected) state — the shallow-clone
-    /// side of a segment swap, where this column's indexes are unchanged.
-    fn clone_state(&self) -> Self {
-        let cell = OnceLock::new();
-        if let Some(state) = self.cell.get() {
-            let _ = cell.set(state.clone());
-        }
-        WahSlot { budget: self.budget, cell }
-    }
-
-    /// Bytes of the built bitmap (0 when disabled, unbuilt or rejected).
-    fn bytes(&self) -> usize {
-        match self.cell.get() {
-            Some(Some(bm)) => RangeIndex::size_bytes(bm),
-            _ => 0,
-        }
-    }
-}
-
 /// One column of one sealed segment: aligned data plus its access paths.
 #[derive(Debug)]
 pub struct SegCol<T: Scalar> {
     data: DataSlot<T>,
     imprints: ColumnImprints<T>,
     zonemap: ZoneMap<T>,
-    wah: WahSlot<T>,
     /// Fraction of (sampled) values that landed in the binning's overflow
     /// bins at build time — the §4.1 drift signal when binning is inherited
     /// from an older segment.
@@ -307,21 +261,18 @@ impl<T: Scalar> SegCol<T> {
             data: DataSlot::new(Arc::new(col)),
             imprints,
             zonemap,
-            wah: WahSlot::new(cfg.wah_budget_bytes),
             drift,
             inherited,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: chooser_for(cfg),
+            chooser: PathChooser::new(cfg.path_buckets),
             obs: ColumnObservations::default(),
         }
     }
 
     /// A copy of this column with freshly sampled binning over the same
     /// (shared) data — the planner's background rebuild. Learned path costs
-    /// and observations reset, since the index changed under them; the WAH
-    /// slot empties too (a rejected bitmap re-earns its lazy build against
-    /// the new binning).
+    /// and observations reset, since the index changed under them.
     pub fn rebuilt(&self) -> Self {
         let opts = *self.imprints.options();
         let data = self.data.get();
@@ -330,7 +281,6 @@ impl<T: Scalar> SegCol<T> {
             data: self.data.share(),
             imprints,
             zonemap: self.zonemap.clone(),
-            wah: self.wah.fresh(),
             drift: 0.0,
             inherited: false,
             rebuilds: self.rebuilds + 1,
@@ -374,41 +324,14 @@ impl<T: Scalar> SegCol<T> {
         self.chooser.bucket_of_span(span.clamp(1, bins), bins)
     }
 
-    /// The WAH bitmap, built on first use and `None` once rejected for
-    /// exceeding its byte budget (which also disables the chooser's WAH
-    /// slot, so later queries never route here again). Callers resolve
-    /// this *before* starting their cost timer: the one-off build must not
-    /// enter the path's EWMA.
-    fn wah_index(&self) -> Option<&WahBitmap<T>> {
-        if self.wah.budget == 0 {
-            return None;
-        }
-        let built = self.wah.cell.get_or_init(|| {
-            let data = self.data.get();
-            let bm = WahBitmap::build_with_binning(&data, self.imprints.binning().clone());
-            (RangeIndex::size_bytes(&bm) <= self.wah.budget).then_some(bm)
-        });
-        if built.is_none() {
-            self.chooser.disable(PathKind::Wah);
-        }
-        built.as_ref()
-    }
-
     /// Evaluates a single-column predicate through the adaptively chosen
     /// access path, recording observed cost (in the predicate's
     /// selectivity bucket) and false-positive work.
     fn evaluate_adaptive(&self, pred: &colstore::RangePredicate<T>) -> (IdList, AccessStats) {
         let bucket = self.bucket_of(pred);
-        let mut path = self.chooser.choose(bucket);
-        if path == PathKind::Wah && self.wah_index().is_none() {
-            // The lazy build just blew the budget: WAH is now disabled in
-            // the chooser; route this query through a surviving path
-            // without advancing the cadence again — one query, one count.
-            path = self.chooser.rechoose(bucket);
-        }
+        let path = self.chooser.choose(bucket);
         // Fault evicted data in *before* the cost timer starts: the one-off
-        // disk read must not enter the path's EWMA (same rule as the lazy
-        // WAH build).
+        // disk read must not enter the path's EWMA.
         let data = self.data.get();
         let t0 = Instant::now();
         let (ids, stats) = match path {
@@ -426,10 +349,6 @@ impl<T: Scalar> SegCol<T> {
             }
             PathKind::ZoneMap => self.zonemap.evaluate_with_kernel(&data, pred, self.kernel),
             PathKind::Scan => <SeqScan as BuildableIndex<T>>::build_index(&data)
-                .evaluate_with_kernel(&data, pred, self.kernel),
-            PathKind::Wah => self
-                .wah_index()
-                .expect("wah availability resolved before dispatch")
                 .evaluate_with_kernel(&data, pred, self.kernel),
         };
         self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
@@ -453,10 +372,7 @@ impl<T: Scalar> SegCol<T> {
             }
         }
         let bucket = self.bucket_of(pred);
-        let mut path = self.chooser.choose(bucket);
-        if path == PathKind::Wah && self.wah_index().is_none() {
-            path = self.chooser.rechoose(bucket);
-        }
+        let path = self.chooser.choose(bucket);
         let data = self.data.get();
         let t0 = Instant::now();
         let (n, stats) = match path {
@@ -474,10 +390,6 @@ impl<T: Scalar> SegCol<T> {
                 pred,
                 self.kernel,
             ),
-            PathKind::Wah => self
-                .wah_index()
-                .expect("wah availability resolved before dispatch")
-                .count_with_kernel(&data, pred, self.kernel),
         };
         self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
         self.chooser.record_selectivity(bucket, n, data.len() as u64);
@@ -506,20 +418,10 @@ impl<T: Scalar> SegCol<T> {
         Some((n, istats.access))
     }
 
-    /// The WAH bitmap only when it was **already** built within budget.
-    /// The conjunction plan never triggers the lazy build itself — a
-    /// one-off build inside a timed plan would poison the
-    /// [`PlanChooser`]'s cost comparison — it only reuses a bitmap the
-    /// single-column chooser has already paid for.
-    fn wah_ready(&self) -> Option<&WahBitmap<T>> {
-        self.wah.cell.get().and_then(Option::as_ref)
-    }
-
     /// Classifies this column's predicate for the fused conjunction plan
     /// (see [`SealedSegment::evaluate_fused`]): the imprint's candidate
-    /// and fully-covered rows as row-space bit words, the WAH candidate
-    /// vector when a built bitmap is available, an ordering estimate from
-    /// the chooser's per-bucket selectivity history, and a boxed word
+    /// and fully-covered rows as row-space bit words, an ordering estimate
+    /// from the chooser's per-bucket selectivity history, and a boxed word
     /// checker that runs the compiled [`SetKernel`] over one 64-row word
     /// and bills this column's observations. Dispatching once per *word*
     /// (not per row) keeps the type-erasure cost off the value loop.
@@ -530,18 +432,11 @@ impl<T: Scalar> SegCol<T> {
         let mut cand = vec![0u64; words];
         let mut full = vec![0u64; words];
         let istats = query::classify_rows(&self.imprints, &masks, &mut cand, &mut full);
-        let mut stats = istats.access;
         let rows = self.data.len() as u64;
         let hits: u64 = cand.iter().map(|w| u64::from(w.count_ones())).sum();
         let bucket = self.bucket_of_set(&preds);
         self.chooser.record_selectivity(bucket, hits, rows);
         let sel = self.chooser.selectivity(bucket).unwrap_or(1.0);
-        let wah = self.wah_ready().and_then(|bm| {
-            let mut probes = 0u64;
-            let v = bm.candidate_vector(&preds, &mut probes);
-            stats.index_probes += probes;
-            v
-        });
         let kernel = SetKernel::with_kernel(&preds, self.kernel);
         // Data is resolved lazily inside the checker: a conjunction whose
         // joint candidates never reach this column's value check leaves an
@@ -558,7 +453,7 @@ impl<T: Scalar> SegCol<T> {
             obs.matches.fetch_add(u64::from((need & mm).count_ones()), Ordering::Relaxed);
             mm
         });
-        (cand, PredPlan { full, sel, wah, check }, stats)
+        (cand, PredPlan { full, sel, check }, istats.access)
     }
 
     /// Candidate row-id ranges of a whole value set: the union of each
@@ -696,12 +591,11 @@ impl<T: Scalar> SegCol<T> {
             data,
             imprints,
             zonemap,
-            wah: WahSlot::new(cfg.wah_budget_bytes),
             drift: 0.0,
             inherited: true,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: chooser_for(cfg),
+            chooser: PathChooser::new(cfg.path_buckets),
             obs: ColumnObservations::default(),
         }
     }
@@ -716,8 +610,7 @@ type WordCheck<'a> = Box<dyn Fn(usize, u64) -> u64 + Send + Sync + 'a>;
 /// Per-predicate state of the fused conjunction plan, produced by the
 /// typed [`SegCol::plan_pred`] and consumed type-erased by
 /// [`SealedSegment::evaluate_fused`]: which rows the predicate's imprint
-/// guarantees (`full`), the optional WAH candidate vector for run-wise
-/// intersection, an ordering estimate, and the word checker.
+/// guarantees (`full`), an ordering estimate, and the word checker.
 struct PredPlan<'a> {
     /// Rows guaranteed to match (their cacheline's imprint sits entirely
     /// inside the predicate's inner mask) — never value-checked.
@@ -725,20 +618,7 @@ struct PredPlan<'a> {
     /// Estimated selectivity (matching fraction; lower = more selective)
     /// from the chooser's per-bucket history, for refinement ordering.
     sel: f64,
-    /// The WAH candidate vector when this column's bitmap is built.
-    wah: Option<WahVector>,
     check: WordCheck<'a>,
-}
-
-/// The chooser a freshly sealed segment column starts from: the three
-/// classic paths, plus WAH when the configuration budgets it, bucketed by
-/// [`EngineConfig::path_buckets`].
-fn chooser_for(cfg: &EngineConfig) -> PathChooser {
-    if cfg.wah_budget_bytes > 0 {
-        PathChooser::new(&PathKind::ALL, cfg.path_buckets)
-    } else {
-        PathChooser::new(&PathKind::CLASSIC, cfg.path_buckets)
-    }
 }
 
 /// Fraction of (sampled) values falling *outside the binning's sampled
@@ -891,26 +771,9 @@ impl AnySegCol {
         seg_dispatch!(self, s => s.data.get().get(id).map(Scalar::into_value))
     }
 
-    /// Index bytes (imprint + zonemap + built WAH bitmap) for storage
-    /// accounting.
+    /// Index bytes (imprint + zonemap) for storage accounting.
     pub fn index_bytes(&self) -> usize {
-        seg_dispatch!(self, s => {
-            RangeIndex::size_bytes(&s.imprints) + s.zonemap.size_bytes() + s.wah.bytes()
-        })
-    }
-
-    /// Bytes of the built WAH bitmap path (0 when disabled, not yet built,
-    /// or rejected for exceeding its byte budget).
-    pub fn wah_bytes(&self) -> usize {
-        seg_dispatch!(self, s => s.wah.bytes())
-    }
-
-    /// The WAH path's lazy-build state: `None` until the chooser first
-    /// explored it (or when disabled by configuration), then `Some(true)`
-    /// if the bitmap was built within budget, `Some(false)` if it was
-    /// rejected and the column fell back to the three classic paths.
-    pub fn wah_built(&self) -> Option<bool> {
-        seg_dispatch!(self, s => s.wah.cell.get().map(Option::is_some))
+        seg_dispatch!(self, s => RangeIndex::size_bytes(&s.imprints) + s.zonemap.size_bytes())
     }
 
     /// Raw data bytes (resident or not — the column's logical size).
@@ -1071,7 +934,7 @@ impl AnySegCol {
     /// and observations start from scratch — the merged segment's cost
     /// profile is nothing like its parts', so inheriting their per-segment
     /// estimates would mislead the chooser (see
-    /// [`PathChooser::reset`](crate::paths::PathChooser::reset)).
+    /// [`PathChooser::fresh_like`]).
     fn merged(parts: &[&AnySegCol], cfg: &EngineConfig) -> AnySegCol {
         macro_rules! arm {
             ($v:ident) => {{
@@ -1368,12 +1231,12 @@ impl SealedSegment {
     /// over this segment, returning segment-local ids.
     ///
     /// A single one-range predicate takes the adaptive single-column path
-    /// (the [`PathChooser`] arbitrating imprints / zonemap / scan / WAH);
+    /// (the [`PathChooser`] arbitrating imprints / zonemap / scan);
     /// everything else — multi-term sets and multi-predicate conjunctions —
     /// goes through the conjunction planner, where a per-shape
     /// [`PlanChooser`] arbitrates the fused row-space plan against the
     /// per-predicate candidate-intersection plan by observed cost.
-    pub fn evaluate(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    fn evaluate(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
         match preds {
             [] => {
                 let ids = IdList::from_sorted((0..self.rows as u64).collect());
@@ -1393,7 +1256,7 @@ impl SealedSegment {
     /// more than the sum of its arms; an empty group matches nothing (the
     /// identity of `OR`), unlike the empty *conjunction* which matches
     /// everything.
-    pub fn evaluate_any(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    fn evaluate_any(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
         let mut stats = AccessStats::default();
         let mut acc = IdList::new();
         for pred in preds {
@@ -1436,11 +1299,9 @@ impl SealedSegment {
 
     /// The **fused** conjunction plan: every predicate's imprint is
     /// classified into row-space bit words first ([`query::classify_rows`]
-    /// behind a union mask per predicate), candidate words are ANDed
-    /// across all predicates — and, where columns have built WAH bitmaps,
-    /// their candidate vectors are ANDed run-wise without decompression
-    /// and folded in — so no value is fetched before *every* index has
-    /// had its say. Surviving words are refined with the compiled SWAR
+    /// behind a union mask per predicate) and candidate words are ANDed
+    /// across all predicates, so no value is fetched before *every* index
+    /// has had its say. Surviving words are refined with the compiled SWAR
     /// [`SetKernel`]s in ascending estimated-selectivity order, skipping
     /// rows a predicate's imprint already guarantees (`full` words) and
     /// short-circuiting a word as soon as it empties.
@@ -1448,16 +1309,10 @@ impl SealedSegment {
         let words = self.rows.div_ceil(64);
         let mut stats = AccessStats::default();
         let mut joint: Option<Vec<u64>> = None;
-        let mut wah_acc: Option<WahVector> = None;
         let mut plans: Vec<PredPlan<'_>> = Vec::with_capacity(preds.len());
         for (col, set) in preds {
             let (cand, plan, s) = self.cols[*col].plan_pred(set, words);
             stats.merge(&s);
-            wah_acc = match (wah_acc, &plan.wah) {
-                (Some(a), Some(b)) => Some(a.and(b)),
-                (None, Some(b)) => Some(b.clone()),
-                (a, None) => a,
-            };
             plans.push(plan);
             let empty = match joint.as_mut() {
                 Some(j) => {
@@ -1478,18 +1333,7 @@ impl SealedSegment {
                 return (IdList::new(), stats);
             }
         }
-        let mut joint = joint.unwrap_or_default();
-        if let Some(v) = &wah_acc {
-            // One materialization of the run-wise AND, folded into the
-            // joint candidate words. Sound for any subset of predicates:
-            // each candidate vector is a superset of its predicate's
-            // matches, so their intersection still covers the conjunction.
-            let mut ww = vec![0u64; words];
-            stats.index_probes += v.or_into(&mut ww);
-            for (jw, w) in joint.iter_mut().zip(&ww) {
-                *jw &= w;
-            }
-        }
+        let joint = joint.unwrap_or_default();
         // Most selective predicate first: its checks empty words fastest,
         // so later (wider) predicates see the fewest surviving rows.
         plans.sort_by(|a, b| a.sel.total_cmp(&b.sel));
@@ -1603,7 +1447,7 @@ impl SealedSegment {
     /// observation recording as [`SealedSegment::evaluate`], with the
     /// imprint count kernel on the imprint path); conjunctions and
     /// multi-term sets materialize internally.
-    pub fn count(&self, preds: &[(usize, ValueSet)]) -> (u64, AccessStats) {
+    fn count(&self, preds: &[(usize, ValueSet)]) -> (u64, AccessStats) {
         match preds {
             [] => (self.rows as u64, AccessStats::default()),
             [(col, set)] if set.as_single().is_some() => {
@@ -1621,8 +1465,9 @@ impl SealedSegment {
 impl AnySegCol {
     /// Clone sharing data `Arc`s and *rebuilding nothing* — used when a
     /// sibling column of the same segment is replaced. Index structures are
-    /// cloned (they are a few percent of the data); observation counters
-    /// and learned path costs carry over, since this column's index is
+    /// cloned: about a third of the data bytes on 8-byte columns, of which
+    /// the zonemap alone is 2 bytes per value. Observation counters and
+    /// learned path costs carry over, since this column's index is
     /// unchanged and the planner must keep seeing its accumulated signal.
     fn shallow_clone(&self) -> AnySegCol {
         macro_rules! arm {
@@ -1631,7 +1476,6 @@ impl AnySegCol {
                     data: $s.data.share(),
                     imprints: $s.imprints.clone(),
                     zonemap: $s.zonemap.clone(),
-                    wah: $s.wah.clone_state(),
                     drift: $s.drift,
                     inherited: $s.inherited,
                     rebuilds: $s.rebuilds,
@@ -1685,10 +1529,10 @@ mod tests {
             .collect()
     }
 
-    /// Registered paths of a column's chooser must all have been measured.
+    /// Every path of a column's chooser must have been measured.
     fn assert_explored(col: &AnySegCol) {
         let est = col.chooser().estimates();
-        for p in col.chooser().paths() {
+        for p in PathKind::ALL {
             assert!(est[p.slot()].is_some(), "{} never explored", p.name());
         }
     }
@@ -1705,72 +1549,6 @@ mod tests {
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         assert_explored(&seg.columns()[0]);
-    }
-
-    /// With a WAH budget configured, the chooser explores all *four* paths
-    /// and every one of them — WAH included — answers byte-identically to
-    /// the oracle, for materializing queries and counts alike.
-    #[test]
-    fn four_path_chooser_matches_oracle_including_wah() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let cfg =
-            EngineConfig { segment_rows: 1024, wah_budget_bytes: usize::MAX, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(11);
-        let values: Vec<i64> = (0..4096).map(|_| rng.gen_range(0..500)).collect();
-        let col: Column<i64> = Column::from(values.clone());
-        let seg = SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg);
-        // Mixed selectivities so several buckets bootstrap through WAH.
-        let cases = [(100i64, 140i64), (0, 499), (42, 42), (100, 350)];
-        for _ in 0..96 {
-            for &(lo, hi) in &cases {
-                let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
-                let expect = oracle(&values, lo, hi);
-                let (ids, _) = seg.evaluate(&[q(0, range)]);
-                assert_eq!(ids.as_slice(), expect.as_slice(), "[{lo}, {hi}]");
-                let (n, _) = seg.count(&[q(0, range)]);
-                assert_eq!(n as usize, expect.len(), "count [{lo}, {hi}]");
-            }
-        }
-        let col = &seg.columns()[0];
-        assert_eq!(col.chooser().paths().len(), 4);
-        assert_explored(col);
-        assert_eq!(col.wah_built(), Some(true), "wah must have been lazily built");
-        assert!(col.wah_bytes() > 0);
-        assert!(col.index_bytes() > col.wah_bytes(), "index bytes include wah + the rest");
-    }
-
-    /// A WAH bitmap larger than its byte budget is rejected: the column
-    /// permanently falls back to the three classic paths, reports zero WAH
-    /// bytes, and queries keep answering correctly.
-    #[test]
-    fn wah_over_budget_falls_back_to_three_paths() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // High-cardinality random data: WAH at its worst (§6.2); a budget
-        // of a few hundred bytes is impossible to meet.
-        let cfg = EngineConfig { segment_rows: 1024, wah_budget_bytes: 512, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(13);
-        let values: Vec<i64> = (0..4096).map(|_| rng.gen_range(0..1_000_000)).collect();
-        let col: Column<i64> = Column::from(values.clone());
-        let seg = SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg);
-        let range = ValueRange::between(Value::I64(0), Value::I64(1000));
-        let expect = oracle(&values, 0, 1000);
-        for _ in 0..64 {
-            let (ids, _) = seg.evaluate(&[q(0, range)]);
-            assert_eq!(ids.as_slice(), expect.as_slice());
-        }
-        let col = &seg.columns()[0];
-        assert_eq!(col.wah_built(), Some(false), "the over-budget build must be rejected");
-        assert_eq!(col.wah_bytes(), 0);
-        assert!(!col.chooser().is_enabled(PathKind::Wah));
-        // Review regression: the rejected-WAH query re-picks its path via
-        // rechoose(), so 64 user queries count exactly 64 in the cadence.
-        assert_eq!(col.chooser().queries(), 64, "a wah rejection must not double-count its query");
-        // The three survivors finished their bootstrap regardless.
-        let est = col.chooser().estimates();
-        assert!(est[..3].iter().all(Option::is_some));
-        assert_eq!(est[3], None, "a rejected wah never records a cost");
     }
 
     #[test]
@@ -1993,7 +1771,7 @@ mod tests {
     /// `value_comparisons` (and the zonemap arm a zone's worth per
     /// overlapping zone), feeding phantom costs to everything that reads
     /// the query stats. Three queries walk the deterministic bootstrap
-    /// (imprints, zonemap, scan), so every classic path is checked.
+    /// (imprints, zonemap, scan), so every path is checked.
     #[test]
     fn empty_range_reports_zero_comparisons_on_every_path() {
         let seg = seal_i64((0..2048).collect());

@@ -34,7 +34,7 @@ use imprints::relation_index::{ValueRange, ValueSet};
 use crate::config::EngineConfig;
 use crate::executor::WorkerPool;
 use crate::persist::{SegmentEntry, TableStore};
-use crate::segment::SealedSegment;
+use crate::segment::{SealedSegment, SegBatchAnswer, SegBatchQuery};
 use crate::tail::AnyTailIndex;
 
 /// A named column of a table schema.
@@ -50,7 +50,7 @@ type SegmentList = Arc<Vec<Arc<SealedSegment>>>;
 
 /// One sealed segment's share of a batch sweep: its base row id plus one
 /// (answer, stats) pair per query slot.
-type SegSweep = (u64, Vec<(crate::segment::SegBatchAnswer, AccessStats)>);
+type SegSweep = (u64, Vec<(SegBatchAnswer, AccessStats)>);
 
 struct OpenSegment {
     base: u64,
@@ -158,6 +158,24 @@ pub enum BatchAnswer {
     Ids(IdList),
     /// Matching row count (a count-only query).
     Count(u64),
+}
+
+impl BatchAnswer {
+    /// The ids of a materializing query's answer.
+    pub(crate) fn into_ids(self) -> IdList {
+        match self {
+            BatchAnswer::Ids(ids) => ids,
+            BatchAnswer::Count(_) => unreachable!("a materializing query answers with ids"),
+        }
+    }
+
+    /// The number of matching rows, in either answer form.
+    pub(crate) fn into_count(self) -> u64 {
+        match self {
+            BatchAnswer::Ids(ids) => ids.len() as u64,
+            BatchAnswer::Count(n) => n,
+        }
+    }
 }
 
 /// A sharded, concurrently readable and appendable relation.
@@ -292,12 +310,6 @@ impl Table {
             .map(|s| s.columns().iter().map(|c| c.index_bytes()).sum::<usize>())
             .sum::<usize>()
             + tail_bytes
-    }
-
-    /// Resolves and type-checks `(name, value set)` predicates against the
-    /// schema.
-    fn resolve(&self, preds: &[(&str, ValueSet)]) -> Result<Vec<(usize, ValueSet)>> {
-        resolve_sets(&self.schema, preds)
     }
 
     // ------------------------------------------------------------------
@@ -587,54 +599,26 @@ impl Table {
     // ------------------------------------------------------------------
 
     /// Evaluates a conjunction of `(column, range)` predicates serially on
-    /// the calling thread. An empty predicate list selects every row.
+    /// the calling thread — a [`Table::query_batch`] of one. An empty
+    /// predicate list selects every row.
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        Ok(self.query_with_stats(preds, None)?.0)
+        self.one(BatchQuery::ids(named(preds)), None).map(|(answer, _)| answer.into_ids())
     }
 
-    /// [`Table::query`] fanned out over a worker pool, one task per sealed
-    /// segment morsel.
-    pub fn query_on(&self, pool: &WorkerPool, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        Ok(self.query_with_stats(preds, Some(pool))?.0)
+    /// Counts rows matching a conjunction of `(column, range)` predicates
+    /// without materializing ids — a [`Table::query_batch`] of one.
+    pub fn count(&self, preds: &[(&str, ValueRange)], pool: Option<&WorkerPool>) -> Result<u64> {
+        self.one(BatchQuery::count(named(preds)), pool).map(|(answer, _)| answer.into_count())
     }
 
-    /// Evaluates a conjunction of `(column, value set)` predicates —
-    /// ranges, IN-lists, or any union of intervals per column.
-    pub fn query_sets(&self, preds: &[(&str, ValueSet)]) -> Result<IdList> {
-        Ok(self.query_sets_with_stats(preds, false, None)?.0)
-    }
-
-    /// Evaluates the predicates as a **disjunction** (`OR` group): rows
-    /// matching any of them. An empty group matches nothing.
-    pub fn query_any(&self, preds: &[(&str, ValueSet)]) -> Result<IdList> {
-        Ok(self.query_sets_with_stats(preds, true, None)?.0)
-    }
-
-    /// Counts rows matching any of the predicates (`OR` group).
-    pub fn count_any(&self, preds: &[(&str, ValueSet)]) -> Result<u64> {
-        Ok(self.count_sets_with_stats(preds, true, None)?.0)
-    }
-
-    /// Pins the consistent prefix shared by every read entry point: the
-    /// open read lock excludes sealing, so the sealed list and the open
-    /// rows agree. Open rows are evaluated under the lock (bounded by one
-    /// segment, and through the tail imprint once the head is large
-    /// enough); sealed segments are evaluated by the caller after release,
-    /// on the frozen snapshot. Both [`Table::query_with_stats`] and
-    /// [`Table::count_with_stats`] go through here, so the two entry
-    /// points cannot drift on the consistency scheme.
-    fn pin_prefix(&self, rpreds: &[(usize, ValueSet)], any: bool) -> PinnedPrefix {
-        let open = self.open.read().expect("open lock");
-        let sealed_guard = self.sealed.read().expect("sealed lock");
-        let sealed = sealed_guard.clone();
-        // Read under the lock: epoch bumps happen inside the write
-        // critical sections, so this value names exactly the pinned
-        // (sealed list, open rows) pair.
-        let epoch = self.epoch();
-        drop(sealed_guard);
-        let kernel = self.refine_kernel();
-        let open_eval = eval_open(&open.bufs, open.tails.as_deref(), rpreds, any, kernel);
-        PinnedPrefix { sealed, open_base: open.base, open: open_eval, epoch }
+    /// Answers `query` alone — a [`Table::query_batch`] of one, the body
+    /// of every single-query read.
+    pub(crate) fn one(
+        &self,
+        query: BatchQuery,
+        pool: Option<&WorkerPool>,
+    ) -> Result<(BatchAnswer, QueryStats)> {
+        self.query_batch(std::slice::from_ref(&query), pool).pop().expect("one answer per query")
     }
 
     /// This table's refinement kernel: the configured selection resolved
@@ -643,171 +627,19 @@ impl Table {
         imprints::simd::effective_kernel(self.cfg.refine_kernel)
     }
 
-    /// Seeds the per-query statistics from a pinned prefix (the fields
-    /// both read entry points report identically).
-    fn prefix_stats(pin: &PinnedPrefix) -> QueryStats {
-        QueryStats {
-            tail_access: pin.open.access,
-            tail_indexed: pin.open.tail_indexed,
-            open_rows: pin.open.rows,
-            sealed_segments: pin.sealed.len(),
-            visible_rows: pin.open_base + pin.open.rows as u64,
-            epoch: pin.epoch,
-            ..Default::default()
-        }
-    }
-
-    /// Full query entry point: resolves predicates, pins a consistent
-    /// prefix (sealed list + open rows), evaluates, merges ordered per-
-    /// segment id lists, and reports statistics.
-    pub fn query_with_stats(
-        &self,
-        preds: &[(&str, ValueRange)],
-        pool: Option<&WorkerPool>,
-    ) -> Result<(IdList, QueryStats)> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        self.query_sets_with_stats(&sets, false, pool)
-    }
-
-    /// The general materializing entry point: value-set predicates under
-    /// conjunction (`any == false`) or disjunction (`any == true`)
-    /// semantics, with the same pinned-prefix consistency as
-    /// [`Table::query_with_stats`].
-    pub fn query_sets_with_stats(
-        &self,
-        preds: &[(&str, ValueSet)],
-        any: bool,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(IdList, QueryStats)> {
-        let rpreds = Arc::new(self.resolve(preds)?);
-        let pin = self.pin_prefix(&rpreds, any);
-        let mut stats = Self::prefix_stats(&pin);
-
-        let eval = move |seg: &SealedSegment, rpreds: &[(usize, ValueSet)]| {
-            if any {
-                seg.evaluate_any(rpreds)
-            } else {
-                seg.evaluate(rpreds)
-            }
-        };
-        let per_segment: Vec<(u64, IdList, AccessStats)> = match pool {
-            Some(pool) if pin.sealed.len() > 1 => {
-                let results = pool.scatter(pin.sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    move || {
-                        let (ids, st) = eval(&seg, &rpreds);
-                        (seg.base(), ids, st)
-                    }
-                }));
-                let mut out = Vec::with_capacity(results.len());
-                for r in results {
-                    out.push(r.ok_or_else(|| {
-                        Error::Mismatch("segment evaluation task panicked".into())
-                    })?);
-                }
-                out
-            }
-            _ => pin
-                .sealed
-                .iter()
-                .map(|seg| {
-                    let (ids, st) = eval(seg, &rpreds);
-                    (seg.base(), ids, st)
-                })
-                .collect(),
-        };
-
-        let mut merged = IdList::with_capacity(
-            per_segment.iter().map(|(_, ids, _)| ids.len()).sum::<usize>() + pin.open.hits.len(),
-        );
-        for (base, ids, st) in per_segment {
-            stats.access.merge(&st);
-            merged.extend_offset(&ids, base);
-        }
-        merged.extend_offset(&pin.open.hits, pin.open_base);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        Ok((merged, stats))
-    }
-
-    /// Counts matching rows without materializing ids, with the same
-    /// pinned-prefix consistency, epoch reporting and tail/sealed stats
-    /// split as [`Table::query_with_stats`].
-    pub fn count_with_stats(
-        &self,
-        preds: &[(&str, ValueRange)],
-        pool: Option<&WorkerPool>,
-    ) -> Result<(u64, QueryStats)> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        self.count_sets_with_stats(&sets, false, pool)
-    }
-
-    /// The general counting entry point: value-set predicates under
-    /// conjunction or disjunction semantics — the count twin of
-    /// [`Table::query_sets_with_stats`].
-    pub fn count_sets_with_stats(
-        &self,
-        preds: &[(&str, ValueSet)],
-        any: bool,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(u64, QueryStats)> {
-        let rpreds = Arc::new(self.resolve(preds)?);
-        let pin = self.pin_prefix(&rpreds, any);
-        let mut stats = Self::prefix_stats(&pin);
-
-        let tally = move |seg: &SealedSegment, rpreds: &[(usize, ValueSet)]| {
-            if any {
-                let (ids, st) = seg.evaluate_any(rpreds);
-                (ids.len() as u64, st)
-            } else {
-                seg.count(rpreds)
-            }
-        };
-        let per_segment: Vec<(u64, AccessStats)> = match pool {
-            Some(pool) if pin.sealed.len() > 1 => {
-                let results = pool.scatter(pin.sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    move || tally(&seg, &rpreds)
-                }));
-                let mut out = Vec::with_capacity(results.len());
-                for r in results {
-                    out.push(
-                        r.ok_or_else(|| Error::Mismatch("segment count task panicked".into()))?,
-                    );
-                }
-                out
-            }
-            _ => pin.sealed.iter().map(|seg| tally(seg, &rpreds)).collect(),
-        };
-
-        let mut total = 0u64;
-        for (n, st) in per_segment {
-            stats.access.merge(&st);
-            total += n;
-        }
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        Ok((total + pin.open.hits.len() as u64, stats))
-    }
-
-    /// Counts matching rows without materializing ids.
-    pub fn count(&self, preds: &[(&str, ValueRange)], pool: Option<&WorkerPool>) -> Result<u64> {
-        Ok(self.count_with_stats(preds, pool)?.0)
-    }
-
-    /// Evaluates many independent queries against **one pinned snapshot**
-    /// — the serving layer's shared-morsel batch dispatch.
+    /// The engine's one read pipeline: resolves every query, pins **one**
+    /// consistent prefix, sweeps each sealed segment once, and merges.
+    /// Every other read ([`Table::query`], [`Table::count`],
+    /// [`crate::Engine::query`], the server batcher) is a call of this.
     ///
     /// All queries observe the same consistent prefix (one epoch, one
     /// sealed list, one open-head read), and the sealed segments are swept
     /// **once per batch**: each segment is one task answering every
     /// query's predicates while its data and indexes are cache-hot
     /// ([`SealedSegment::evaluate_batch`]), instead of one cold sealed-list
-    /// walk per query. Answers are byte-identical to issuing each query
-    /// through [`Table::query_with_stats`] / [`Table::count_with_stats`]
-    /// against an unchanging table.
+    /// walk per query. Batching never changes an answer: each query in a
+    /// batch answers exactly as it would in a batch of one against an
+    /// unchanging table.
     ///
     /// Per-query predicate resolution errors come back in that query's
     /// slot; the remaining queries still evaluate. The snapshot stays valid
@@ -818,144 +650,68 @@ impl Table {
         queries: &[BatchQuery],
         pool: Option<&WorkerPool>,
     ) -> Vec<Result<(BatchAnswer, QueryStats)>> {
-        use crate::segment::{SegBatchAnswer, SegBatchQuery};
-
         // Resolve every query first; failures keep their slot and never
         // reach the data pass.
-        let mut resolved: Vec<Result<Vec<(usize, ValueSet)>>> = queries
-            .iter()
-            .map(|q| {
-                let preds: Vec<(&str, ValueSet)> =
-                    q.preds.iter().map(|(n, s)| (n.as_str(), s.clone())).collect();
-                self.resolve(&preds)
-            })
-            .collect();
-        let valid: Vec<usize> = (0..resolved.len()).filter(|&i| resolved[i].is_ok()).collect();
+        let mut errors = Vec::with_capacity(queries.len());
+        let mut valid = Vec::with_capacity(queries.len());
+        for q in queries {
+            match Resolved::new(&self.schema, q) {
+                Ok(r) => {
+                    valid.push(r);
+                    errors.push(None);
+                }
+                Err(e) => errors.push(Some(e)),
+            }
+        }
+        let valid = Arc::new(valid);
 
-        // Pin ONE consistent prefix for the whole batch: a single open
-        // read (every query's head evaluation happens under it) and a
-        // single frozen sealed list.
+        // Pin the prefix: the open read lock excludes sealing, so the
+        // sealed list and the open rows agree. The head is evaluated under
+        // the lock (bounded by one segment, and through the tail imprint
+        // once the head is large enough); the sealed segments after
+        // release, on the frozen list.
         let open = self.open.read().expect("open lock");
         let sealed_guard = self.sealed.read().expect("sealed lock");
         let sealed = sealed_guard.clone();
+        // Read under the lock: epoch bumps happen inside the write
+        // critical sections, so this value names exactly the pinned
+        // (sealed list, open rows) pair.
         let epoch = self.epoch();
         drop(sealed_guard);
         let kernel = self.refine_kernel();
         let open_base = open.base;
-        let opens: Vec<OpenEval> = valid
+        let heads: Vec<OpenEval> = valid
             .iter()
-            .map(|&i| {
-                let rp = resolved[i].as_ref().expect("valid index");
-                eval_open(&open.bufs, open.tails.as_deref(), rp, queries[i].any, kernel)
-            })
+            .map(|q| eval_open(&open.bufs, open.tails.as_deref(), &q.preds, q.any, kernel))
             .collect();
         drop(open);
 
-        // One shared sweep per sealed segment, answering every valid query.
-        let rpreds: Arc<Vec<Vec<(usize, ValueSet)>>> = Arc::new(
-            valid.iter().map(|&i| resolved[i].as_ref().expect("valid index").clone()).collect(),
-        );
-        let flags: Arc<Vec<(bool, bool)>> =
-            Arc::new(valid.iter().map(|&i| (queries[i].any, queries[i].count_only)).collect());
-        let sweep = |seg: &SealedSegment| {
-            let qs: Vec<SegBatchQuery> = rpreds
-                .iter()
-                .zip(flags.iter())
-                .map(|(preds, &(any, count_only))| SegBatchQuery { preds, any, count_only })
-                .collect();
-            seg.evaluate_batch(&qs)
-        };
-        let per_segment: Vec<Option<SegSweep>> = match pool {
-            Some(pool) if sealed.len() > 1 && !valid.is_empty() => {
-                pool.scatter(sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    let flags = Arc::clone(&flags);
-                    move || {
-                        let qs: Vec<SegBatchQuery> = rpreds
-                            .iter()
-                            .zip(flags.iter())
-                            .map(|(preds, &(any, count_only))| SegBatchQuery {
-                                preds,
-                                any,
-                                count_only,
-                            })
-                            .collect();
-                        (seg.base(), seg.evaluate_batch(&qs))
-                    }
-                }))
-            }
-            _ => sealed.iter().map(|seg| Some((seg.base(), sweep(seg)))).collect(),
-        };
-        let panicked = per_segment.iter().any(Option::is_none);
-
-        // Assemble per-query answers in segment order.
-        let mut answers: Vec<Option<(BatchAnswer, QueryStats)>> = valid
-            .iter()
-            .zip(&opens)
-            .map(|(_, open_eval)| {
-                let stats = QueryStats {
-                    tail_access: open_eval.access,
-                    tail_indexed: open_eval.tail_indexed,
-                    open_rows: open_eval.rows,
-                    sealed_segments: sealed.len(),
-                    visible_rows: open_base + open_eval.rows as u64,
-                    epoch,
-                    ..Default::default()
+        let mut swept = sweep(&sealed, &valid, pool).map(Vec::into_iter);
+        let mut heads = heads.into_iter();
+        errors
+            .into_iter()
+            .map(|error| {
+                if let Some(e) = error {
+                    return Err(e);
+                }
+                let head = heads.next().expect("one head evaluation per resolved query");
+                let Some((mut answer, access)) = swept.as_mut().and_then(Iterator::next) else {
+                    return Err(Error::Mismatch("segment evaluation task panicked".into()));
                 };
-                Some((BatchAnswer::Count(0), stats))
+                head.add_to(&mut answer, open_base);
+                self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                let stats = QueryStats {
+                    access,
+                    tail_access: head.access,
+                    tail_indexed: head.tail_indexed,
+                    open_rows: head.rows,
+                    sealed_segments: sealed.len(),
+                    visible_rows: open_base + head.rows as u64,
+                    epoch,
+                };
+                Ok((answer, stats))
             })
-            .collect();
-        let mut id_parts: Vec<IdList> = valid.iter().map(|_| IdList::new()).collect();
-        if !panicked {
-            for entry in per_segment.into_iter().flatten() {
-                let (base, seg_answers) = entry;
-                debug_assert_eq!(seg_answers.len(), valid.len());
-                for (slot, (answer, stats)) in seg_answers.into_iter().enumerate() {
-                    let (acc, st) = answers[slot].as_mut().expect("slot populated above");
-                    st.access.merge(&stats);
-                    match answer {
-                        SegBatchAnswer::Ids(ids) => id_parts[slot].extend_offset(&ids, base),
-                        SegBatchAnswer::Count(n) => {
-                            if let BatchAnswer::Count(total) = acc {
-                                *total += n;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Result<(BatchAnswer, QueryStats)>> = Vec::with_capacity(queries.len());
-        let mut slot = 0usize;
-        for (i, res) in resolved.iter_mut().enumerate() {
-            match std::mem::replace(res, Ok(Vec::new())) {
-                Err(e) => out.push(Err(e)),
-                Ok(_) => {
-                    if panicked {
-                        out.push(Err(Error::Mismatch("segment evaluation task panicked".into())));
-                        slot += 1;
-                        continue;
-                    }
-                    let (mut answer, stats) = answers[slot].take().expect("assembled above");
-                    let open_eval = &opens[slot];
-                    match &mut answer {
-                        BatchAnswer::Count(total) if queries[i].count_only => {
-                            *total += open_eval.hits.len() as u64;
-                        }
-                        _ => {
-                            let mut ids = std::mem::take(&mut id_parts[slot]);
-                            ids.extend_offset(&open_eval.hits, open_base);
-                            answer = BatchAnswer::Ids(ids);
-                        }
-                    }
-                    self.stats.queries.fetch_add(1, Ordering::Relaxed);
-                    out.push(Ok((answer, stats)));
-                    slot += 1;
-                }
-            }
-        }
-        out
+            .collect()
     }
 
     /// Reconstructs the tuple at global row `id` (late materialization).
@@ -996,43 +752,94 @@ impl Table {
     }
 }
 
-/// Resolves and type-checks `(name, value set)` predicates against
-/// `schema` — shared by [`Table`] and [`TableSnapshot`] so both surfaces
-/// report a mismatched bound (in any term of any set) as an error instead
-/// of panicking later.
-fn resolve_sets(
-    schema: &[ColumnDef],
-    preds: &[(&str, ValueSet)],
-) -> Result<Vec<(usize, ValueSet)>> {
-    let mut out = Vec::with_capacity(preds.len());
-    for (name, set) in preds {
-        let pos = schema
-            .iter()
-            .position(|d| d.name == *name)
-            .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
-        let ty = schema[pos].ty;
-        for range in &set.terms {
-            for bound in [&range.low, &range.high].into_iter().flatten() {
-                if bound.column_type() != ty {
-                    return Err(Error::Mismatch(format!(
-                        "predicate bound {bound} has type {}, column {name:?} holds {ty}",
-                        bound.column_type()
-                    )));
-                }
-            }
-        }
-        out.push((pos, (*set).clone()));
-    }
-    Ok(out)
+/// `(column, range)` predicates in a [`BatchQuery`]'s owned form.
+pub(crate) fn named(preds: &[(&str, ValueRange)]) -> Vec<(String, ValueRange)> {
+    preds.iter().map(|(name, range)| ((*name).to_string(), *range)).collect()
 }
 
-/// The pinned consistent prefix one read observes: the frozen sealed list
-/// plus the already-evaluated open write head (see [`Table::pin_prefix`]).
-struct PinnedPrefix {
-    sealed: SegmentList,
-    open_base: u64,
-    open: OpenEval,
-    epoch: u64,
+/// One query with its predicates resolved to column positions.
+struct Resolved {
+    preds: Vec<(usize, ValueSet)>,
+    any: bool,
+    count_only: bool,
+}
+
+impl Resolved {
+    /// Resolves and type-checks `query`'s `(name, value set)` predicates
+    /// against `schema`, cloning each set once — shared by [`Table`] and
+    /// [`TableSnapshot`] so both surfaces report a mismatched bound (in any
+    /// term of any set) as an error instead of panicking later.
+    fn new(schema: &[ColumnDef], query: &BatchQuery) -> Result<Resolved> {
+        let mut preds = Vec::with_capacity(query.preds.len());
+        for (name, set) in &query.preds {
+            let pos = schema
+                .iter()
+                .position(|d| d.name == *name)
+                .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
+            let ty = schema[pos].ty;
+            for range in &set.terms {
+                for bound in [&range.low, &range.high].into_iter().flatten() {
+                    if bound.column_type() != ty {
+                        return Err(Error::Mismatch(format!(
+                            "predicate bound {bound} has type {}, column {name:?} holds {ty}",
+                            bound.column_type()
+                        )));
+                    }
+                }
+            }
+            preds.push((pos, set.clone()));
+        }
+        Ok(Resolved { preds, any: query.any, count_only: query.count_only })
+    }
+}
+
+/// The sealed half of every read: one task per segment answers every
+/// query of the batch ([`SealedSegment::evaluate_batch`]), on `pool` when
+/// given, and the per-segment answers merge in segment order into one
+/// (answer, sealed access counters) pair per query. `None` when a segment
+/// task panicked.
+fn sweep(
+    sealed: &[Arc<SealedSegment>],
+    queries: &Arc<Vec<Resolved>>,
+    pool: Option<&WorkerPool>,
+) -> Option<Vec<(BatchAnswer, AccessStats)>> {
+    fn run(seg: &SealedSegment, queries: &[Resolved]) -> SegSweep {
+        let batch: Vec<SegBatchQuery> = queries
+            .iter()
+            .map(|q| SegBatchQuery { preds: &q.preds, any: q.any, count_only: q.count_only })
+            .collect();
+        (seg.base(), seg.evaluate_batch(&batch))
+    }
+    let per_segment: Vec<Option<SegSweep>> = match pool {
+        Some(pool) if sealed.len() > 1 && !queries.is_empty() => {
+            pool.scatter(sealed.iter().map(|seg| {
+                let (seg, queries) = (Arc::clone(seg), Arc::clone(queries));
+                move || run(&seg, &queries)
+            }))
+        }
+        _ => sealed.iter().map(|seg| Some(run(seg, queries))).collect(),
+    };
+    let mut merged: Vec<(BatchAnswer, AccessStats)> = queries
+        .iter()
+        .map(|q| {
+            let answer =
+                if q.count_only { BatchAnswer::Count(0) } else { BatchAnswer::Ids(IdList::new()) };
+            (answer, AccessStats::default())
+        })
+        .collect();
+    for (base, answers) in per_segment.into_iter().collect::<Option<Vec<_>>>()? {
+        for ((answer, access), (part, stats)) in merged.iter_mut().zip(answers) {
+            access.merge(&stats);
+            match (answer, part) {
+                (BatchAnswer::Ids(ids), SegBatchAnswer::Ids(part)) => {
+                    ids.extend_offset(&part, base)
+                }
+                (BatchAnswer::Count(n), SegBatchAnswer::Count(part)) => *n += part,
+                _ => unreachable!("a segment answers in its query's output form"),
+            }
+        }
+    }
+    Some(merged)
 }
 
 /// Result of evaluating a query's predicates over the open write head.
@@ -1046,6 +853,17 @@ struct OpenEval {
     access: AccessStats,
     /// Whether the tail imprint served the head.
     tail_indexed: bool,
+}
+
+impl OpenEval {
+    /// Adds the head's matches to a query's sealed answer: ids offset by
+    /// the head's base row, or their count.
+    fn add_to(&self, answer: &mut BatchAnswer, open_base: u64) {
+        match answer {
+            BatchAnswer::Ids(ids) => ids.extend_offset(&self.hits, open_base),
+            BatchAnswer::Count(n) => *n += self.hits.len() as u64,
+        }
+    }
 }
 
 /// Evaluates resolved predicates over the open segment.
@@ -1234,17 +1052,15 @@ impl TableSnapshot {
         self.open_base + self.open_bufs.first().map_or(0, AnyColumn::len) as u64
     }
 
-    /// Evaluates predicates against the frozen view (serial).
+    /// Evaluates a conjunction against the frozen view (serial), through
+    /// the same segment sweep as [`Table::query_batch`].
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        let rpreds = resolve_sets(&self.schema, &sets)?;
-        let mut merged = IdList::concat_segments(
-            self.sealed.iter().map(|seg| (seg.base(), seg.evaluate(&rpreds).0)),
-        );
-        let open = eval_open(&self.open_bufs, None, &rpreds, false, self.kernel);
-        merged.extend_offset(&open.hits, self.open_base);
-        Ok(merged)
+        let query = Arc::new(vec![Resolved::new(&self.schema, &BatchQuery::ids(named(preds)))?]);
+        let head = eval_open(&self.open_bufs, None, &query[0].preds, false, self.kernel);
+        let mut swept = sweep(&self.sealed, &query, None).expect("a serial sweep loses no task");
+        let (mut answer, _) = swept.pop().expect("one answer per query");
+        head.add_to(&mut answer, self.open_base);
+        Ok(answer.into_ids())
     }
 
     /// The full contents of column `name` as typed values — the oracle
@@ -1287,6 +1103,15 @@ mod tests {
         AnyColumn::I64(values.collect())
     }
 
+    /// Runs `query` as a batch of one, returning its answer and stats.
+    fn run(t: &Table, query: BatchQuery, pool: Option<&WorkerPool>) -> (BatchAnswer, QueryStats) {
+        t.one(query, pool).unwrap()
+    }
+
+    fn ids(values: impl IntoIterator<Item = u64>) -> BatchAnswer {
+        BatchAnswer::Ids(IdList::from_sorted(values.into_iter().collect()))
+    }
+
     #[test]
     fn append_seals_segments_and_queries_span_them() {
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
@@ -1305,8 +1130,8 @@ mod tests {
         let pool = WorkerPool::new(4);
         let pred = [("v", ValueRange::between(Value::I64(10), Value::I64(50)))];
         let serial = t.query(&pred).unwrap();
-        let parallel = t.query_on(&pool, &pred).unwrap();
-        assert_eq!(serial, parallel);
+        let (parallel, _) = run(&t, BatchQuery::ids(named(&pred)), Some(&pool));
+        assert_eq!(BatchAnswer::Ids(serial.clone()), parallel);
         assert!(!serial.is_empty());
         let n = t.count(&pred, Some(&pool)).unwrap();
         assert_eq!(n as usize, serial.len());
@@ -1435,10 +1260,10 @@ mod tests {
         }
         // A narrow range inside the open head (rows 1024..1664).
         let pred = [("v", ValueRange::between(Value::I64(1100), Value::I64(1160)))];
-        let (ids_i, st_i) = indexed.query_with_stats(&pred, None).unwrap();
-        let (ids_s, st_s) = scanned.query_with_stats(&pred, None).unwrap();
+        let (ids_i, st_i) = run(&indexed, BatchQuery::ids(named(&pred)), None);
+        let (ids_s, st_s) = run(&scanned, BatchQuery::ids(named(&pred)), None);
         assert_eq!(ids_i, ids_s);
-        assert_eq!(ids_i.as_slice(), (1100..1161).collect::<Vec<u64>>().as_slice());
+        assert_eq!(ids_i, ids(1100..1161));
         assert_eq!(st_i.open_rows, 640);
         assert!(st_i.tail_indexed, "a 640-row head above the threshold must use its tail");
         assert!(!st_s.tail_indexed);
@@ -1468,10 +1293,8 @@ mod tests {
             ("a", ValueRange::at_least(Value::I64(1200))),
             ("b", ValueRange::equals(Value::I64(3))),
         ];
-        let (ids, st) = t.query_with_stats(&pred, None).unwrap();
-        let expect: Vec<u64> =
-            (0..1500u64).filter(|&i| a[i as usize] >= 1200 && b[i as usize] == 3).collect();
-        assert_eq!(ids.as_slice(), expect.as_slice());
+        let (got, st) = run(&t, BatchQuery::ids(named(&pred)), None);
+        assert_eq!(got, ids((0..1500u64).filter(|&i| a[i as usize] >= 1200 && b[i as usize] == 3)));
         assert!(st.tail_indexed, "first predicate of a conjunction must ride the tail");
 
         // Fill the head to exactly the seal boundary: the new head is empty
@@ -1479,22 +1302,25 @@ mod tests {
         t.append_batch(vec![ints(0..548), AnyColumn::I64((0..548).map(|i| i % 7).collect())])
             .unwrap();
         assert_eq!(t.row_count() % 1024, 0);
-        let (_, st) = t.query_with_stats(&pred, None).unwrap();
+        let (_, st) = run(&t, BatchQuery::ids(named(&pred)), None);
         assert_eq!(st.open_rows, 0);
         assert!(!st.tail_indexed, "sealing must discard the head's tail imprint");
     }
 
-    /// Count and query share one pinned-prefix path: identical epoch,
-    /// visibility and head accounting, and the count includes open rows.
+    /// The ids and count forms of one query in one batch share its pinned
+    /// prefix: identical epoch, visibility and head accounting, and the
+    /// count includes open rows.
     #[test]
     fn count_shares_the_pinned_prefix_path_with_query() {
         let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
         let vals: Vec<i64> = (0..2500).map(|i| (i * 37) % 1000).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        let pred = [("v", ValueRange::between(Value::I64(10), Value::I64(50)))];
-        let (ids, qs) = t.query_with_stats(&pred, None).unwrap();
-        let (n, cs) = t.count_with_stats(&pred, None).unwrap();
-        assert_eq!(n as usize, ids.len());
+        let pred = named(&[("v", ValueRange::between(Value::I64(10), Value::I64(50)))]);
+        let out = t.query_batch(&[BatchQuery::ids(pred.clone()), BatchQuery::count(pred)], None);
+        let [Ok((BatchAnswer::Ids(ids), qs)), Ok((BatchAnswer::Count(n), cs))] = &out[..] else {
+            panic!("expected an ids and a count answer, got {out:?}");
+        };
+        assert_eq!(*n as usize, ids.len());
         assert_eq!(cs.epoch, qs.epoch);
         assert_eq!(cs.visible_rows, qs.visible_rows);
         assert_eq!(cs.open_rows, qs.open_rows);
@@ -1505,9 +1331,9 @@ mod tests {
         assert!(cs.access.index_probes > 0 || cs.access.value_comparisons > 0);
     }
 
-    /// `query_batch` must answer byte-identically to issuing each query
-    /// alone — same ids, same counts, same epoch/visibility accounting —
-    /// for mixed materializing/count batches with the head populated.
+    /// A K-query batch answers every query exactly as a batch of one and as
+    /// the brute-force oracle — ids, counts, IN-lists and OR groups — with
+    /// the same epoch and head accounting, serially and on the pool.
     #[test]
     fn query_batch_matches_individual_queries() {
         let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(64))
@@ -1519,50 +1345,60 @@ mod tests {
             AnyColumn::I64(b.iter().copied().collect()),
         ])
         .unwrap();
-        let ranges = [
-            vec![("a".to_string(), ValueRange::between(Value::I64(10), Value::I64(80)))],
-            vec![("a".to_string(), ValueRange::at_least(Value::I64(650)))],
-            vec![
-                ("a".to_string(), ValueRange::between(Value::I64(0), Value::I64(300))),
-                ("b".to_string(), ValueRange::equals(Value::I64(4))),
-            ],
-            vec![],
+        let range = |lo, hi| ValueSet::range(ValueRange::between(Value::I64(lo), Value::I64(hi)));
+        type Oracle<'a> = Box<dyn Fn(usize) -> bool + 'a>;
+        let cases: Vec<(BatchQuery, Oracle)> = vec![
+            (
+                BatchQuery::ids_sets(vec![("a".into(), range(10, 80))]),
+                Box::new(|i| (10..=80).contains(&a[i])),
+            ),
+            (
+                BatchQuery::count_sets(vec![("a".into(), range(650, 699))]),
+                Box::new(|i| a[i] >= 650),
+            ),
+            (
+                BatchQuery::ids_sets(vec![
+                    ("a".into(), range(0, 300)),
+                    ("b".into(), ValueSet::points([Value::I64(4), Value::I64(9)])),
+                ]),
+                Box::new(|i| a[i] <= 300 && [4, 9].contains(&b[i])),
+            ),
+            (
+                BatchQuery::count_sets(vec![
+                    ("a".into(), range(690, 699)),
+                    ("b".into(), range(12, 12)),
+                ])
+                .or_group(),
+                Box::new(|i| a[i] >= 690 || b[i] == 12),
+            ),
+            (BatchQuery::ids_sets(vec![]), Box::new(|_| true)),
         ];
-        let mut batch = Vec::new();
-        for (i, preds) in ranges.iter().enumerate() {
-            let q = if i % 2 == 1 {
-                BatchQuery::count(preds.clone())
-            } else {
-                BatchQuery::ids(preds.clone())
-            };
-            batch.push(q);
-        }
+        let batch: Vec<BatchQuery> = cases.iter().map(|(q, _)| q.clone()).collect();
         let pool = WorkerPool::new(2);
         for pool in [None, Some(&pool)] {
             let out = t.query_batch(&batch, pool);
             assert_eq!(out.len(), batch.len());
-            for (q, res) in batch.iter().zip(out) {
-                let preds: Vec<(&str, ValueRange)> = q
-                    .preds
-                    .iter()
-                    .map(|(n, s)| (n.as_str(), *s.as_single().expect("ranges only")))
-                    .collect();
+            for ((q, oracle), res) in cases.iter().zip(out) {
                 let (answer, stats) = res.unwrap();
-                if q.count_only {
-                    let (n, st) = t.count_with_stats(&preds, None).unwrap();
-                    assert_eq!(answer, BatchAnswer::Count(n));
-                    assert_eq!(stats.epoch, st.epoch);
-                    assert_eq!(stats.visible_rows, st.visible_rows);
+                let expect: Vec<u64> = (0..3000u64).filter(|&i| oracle(i as usize)).collect();
+                let want = if q.count_only {
+                    BatchAnswer::Count(expect.len() as u64)
                 } else {
-                    let (ids, st) = t.query_with_stats(&preds, None).unwrap();
-                    assert_eq!(answer, BatchAnswer::Ids(ids));
-                    assert_eq!(stats.epoch, st.epoch);
-                    assert_eq!(stats.visible_rows, st.visible_rows);
-                    assert_eq!(stats.open_rows, st.open_rows);
-                    assert_eq!(stats.tail_indexed, st.tail_indexed);
-                }
+                    ids(expect)
+                };
+                assert_eq!(answer, want, "{q:?}");
+                let (alone, st) = run(&t, q.clone(), pool);
+                assert_eq!(alone, answer, "{q:?}");
+                assert_eq!(
+                    (stats.epoch, stats.visible_rows, stats.open_rows, stats.tail_indexed),
+                    (st.epoch, st.visible_rows, st.open_rows, st.tail_indexed),
+                    "{q:?}"
+                );
+                assert_eq!(stats.sealed_segments, 2);
             }
         }
+        let (_, st) = run(&t, batch[0].clone(), None);
+        assert!(st.open_rows > 0 && st.tail_indexed, "the tail-indexed head must be covered");
     }
 
     /// A batch with an unresolvable query errors only that slot; the rest

@@ -1,13 +1,13 @@
 //! Property tests for multi-predicate planning: conjunctions, OR groups
 //! and IN-lists must be indistinguishable from the brute-force row oracle
 //! for any data, any segmentation, any access-path mix (imprint, zonemap,
-//! scan, WAH), any head geometry (tail-indexed or scalar-scanned, partial
+//! scan), any head geometry (tail-indexed or scalar-scanned, partial
 //! or just-sealed) and either refinement kernel (the CI matrix forces the
 //! scalar kernel through this suite via `IMPRINTS_REFINE_KERNEL`).
 
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{ColumnType, Value};
-use column_imprints::engine::{EngineConfig, Table, ValueRange, ValueSet};
+use column_imprints::engine::{BatchAnswer, BatchQuery, EngineConfig, Table, ValueRange, ValueSet};
 use proptest::prelude::*;
 
 /// Row shape shared by every generator: three i64 columns with different
@@ -57,6 +57,22 @@ fn in_set(s: &ValueSet, v: i64) -> bool {
     })
 }
 
+/// Answers `preds` through the table's read pipeline — a conjunction, or
+/// with `any` a disjunction — as one batch holding the materializing and
+/// the count-only form, returning the ids and the count.
+fn answer(t: &Table, preds: &[(&str, ValueSet)], any: bool) -> (Vec<u64>, u64) {
+    let preds: Vec<(String, ValueSet)> =
+        preds.iter().map(|(name, set)| (name.to_string(), set.clone())).collect();
+    let ids = BatchQuery { preds: preds.clone(), any, count_only: false };
+    let count = BatchQuery { preds, any, count_only: true };
+    match &t.query_batch(&[ids, count], None)[..] {
+        [Ok((BatchAnswer::Ids(ids), _)), Ok((BatchAnswer::Count(n), _))] => {
+            (ids.as_slice().to_vec(), *n)
+        }
+        other => panic!("expected an ids and a count answer, got {other:?}"),
+    }
+}
+
 /// Brute-force oracle over the raw rows, conjunction or disjunction.
 fn oracle(rows: &[Row], preds: &[(&str, ValueSet)], any: bool) -> Vec<u64> {
     (0..rows.len() as u64)
@@ -84,16 +100,15 @@ proptest! {
 
     /// Three-predicate conjunctions: the fused mask-intersection plan, the
     /// pinned per-predicate plan and the brute-force oracle agree for any
-    /// data, any segment size, tail-indexed or scanned heads, with or
-    /// without a WAH budget — and keep agreeing across repeated runs while
-    /// the `PlanChooser` bootstraps and explores.
+    /// data, any segment size, tail-indexed or scanned heads — and keep
+    /// agreeing across repeated runs while the `PlanChooser` bootstraps
+    /// and explores.
     #[test]
     fn conjunction_equals_oracle_across_plans_and_paths(
         rows in prop::collection::vec((0i64..1000, 0i64..100, 0i64..50), 0..3000),
         chunks in 1usize..5,
         seg_exp in 1usize..5,
         tail_indexed in any::<bool>(),
-        wah in any::<bool>(),
         a_lo in 0i64..1100, a_width in 0i64..400,
         b_lo in 0i64..110, b_width in 0i64..40,
         c_lo in 0i64..55, c_width in 0i64..20,
@@ -102,7 +117,6 @@ proptest! {
             segment_rows: 64usize << seg_exp, // 128..=1024
             workers: 2,
             tail_index_min_rows: if tail_indexed { 64 } else { usize::MAX },
-            wah_budget_bytes: if wah { 1 << 20 } else { 0 },
             ..Default::default()
         };
         let pinned_cfg = EngineConfig { conjunction_planning: false, ..cfg.clone() };
@@ -117,11 +131,11 @@ proptest! {
         // Repeats walk the chooser through bootstrap (both plans) and into
         // steady state; every round must stay byte-identical.
         for round in 0..4 {
-            let got = planned.query_sets(&preds).unwrap();
-            prop_assert_eq!(got.as_slice(), expect.as_slice(), "planned, round {}", round);
-            let got = pinned.query_sets(&preds).unwrap();
-            prop_assert_eq!(got.as_slice(), expect.as_slice(), "pinned, round {}", round);
-            let (n, _) = planned.count_sets_with_stats(&preds, false, None).unwrap();
+            let (got, n) = answer(&planned, &preds, false);
+            prop_assert_eq!(&got, &expect, "planned, round {}", round);
+            prop_assert_eq!(n as usize, expect.len());
+            let (got, n) = answer(&pinned, &preds, false);
+            prop_assert_eq!(&got, &expect, "pinned, round {}", round);
             prop_assert_eq!(n as usize, expect.len());
         }
     }
@@ -146,20 +160,16 @@ proptest! {
         let in_list = ValueSet::points(points.iter().map(|&p| Value::I64(p)));
         // IN alone.
         let alone = [("a", in_list.clone())];
-        prop_assert_eq!(
-            t.query_sets(&alone).unwrap().as_slice(),
-            oracle(&rows, &alone, false).as_slice()
-        );
+        prop_assert_eq!(answer(&t, &alone, false).0, oracle(&rows, &alone, false));
         // IN ∧ range (mixed set shapes in one conjunction).
         let mixed = [("a", in_list), ("b", set_range(b_lo, b_width))];
         let expect = oracle(&rows, &mixed, false);
-        prop_assert_eq!(t.query_sets(&mixed).unwrap().as_slice(), expect.as_slice());
-        let (n, _) = t.count_sets_with_stats(&mixed, false, None).unwrap();
+        let (got, n) = answer(&t, &mixed, false);
+        prop_assert_eq!(&got, &expect);
         prop_assert_eq!(n as usize, expect.len());
     }
 
-    /// OR groups: the union evaluation (`query_any`/`count_any`) equals
-    /// the oracle's any-of-predicates filter; the empty group matches
+    /// OR groups: the union evaluation (ids and count) equals the oracle's any-of-predicates filter; the empty group matches
     /// nothing while the empty conjunction matches everything.
     #[test]
     fn disjunction_equals_oracle(
@@ -182,12 +192,15 @@ proptest! {
             ("c", ValueSet::points(c_points.iter().map(|&p| Value::I64(p)))),
         ];
         let expect = oracle(&rows, &preds, true);
-        prop_assert_eq!(t.query_any(&preds).unwrap().as_slice(), expect.as_slice());
-        prop_assert_eq!(t.count_any(&preds).unwrap() as usize, expect.len());
+        let (got, n) = answer(&t, &preds, true);
+        prop_assert_eq!(&got, &expect);
+        prop_assert_eq!(n as usize, expect.len());
         // Identity elements: OR of nothing is nothing, AND of nothing is
         // every row.
-        prop_assert_eq!(t.query_any(&[]).unwrap().as_slice(), &[] as &[u64]);
-        prop_assert_eq!(t.query_sets(&[]).unwrap().len(), rows.len());
+        prop_assert_eq!(answer(&t, &[], true), (Vec::new(), 0));
+        let (all_ids, all_n) = answer(&t, &[], false);
+        prop_assert_eq!(all_ids, (0..rows.len() as u64).collect::<Vec<_>>());
+        prop_assert_eq!(all_n as usize, rows.len());
     }
 
     /// Interleaved appends: after every chunk — whatever mix of sealed
@@ -225,14 +238,8 @@ proptest! {
             ])
             .unwrap();
             all.extend_from_slice(chunk);
-            prop_assert_eq!(
-                t.query_sets(&preds).unwrap().as_slice(),
-                oracle(&all, &preds, false).as_slice()
-            );
-            prop_assert_eq!(
-                t.query_any(&preds).unwrap().as_slice(),
-                oracle(&all, &preds, true).as_slice()
-            );
+            prop_assert_eq!(answer(&t, &preds, false).0, oracle(&all, &preds, false));
+            prop_assert_eq!(answer(&t, &preds, true).0, oracle(&all, &preds, true));
         }
     }
 }

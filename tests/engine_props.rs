@@ -5,7 +5,8 @@
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{Column, ColumnType, Value};
 use column_imprints::engine::{
-    maintenance_tick, Catalog, EngineConfig, MaintenanceConfig, Table, ValueRange, WorkerPool,
+    maintenance_tick, BatchAnswer, BatchQuery, Catalog, EngineConfig, MaintenanceConfig, Table,
+    ValueRange, WorkerPool,
 };
 use column_imprints::ColumnImprints;
 use proptest::prelude::*;
@@ -69,8 +70,9 @@ proptest! {
         let rb = b.query(&preds).unwrap();
         prop_assert_eq!(ra.as_slice(), rb.as_slice());
         let pool = WorkerPool::new(3);
-        let rp = a.query_on(&pool, &preds).unwrap();
-        prop_assert_eq!(ra.as_slice(), rp.as_slice());
+        let query = BatchQuery::ids(vec![("v".to_string(), preds[0].1)]);
+        let (rp, _) = a.query_batch(&[query], Some(&pool)).pop().unwrap().unwrap();
+        prop_assert_eq!(BatchAnswer::Ids(ra.clone()), rp);
         let n = a.count(&preds, Some(&pool)).unwrap();
         prop_assert_eq!(n as usize, ra.len());
     }

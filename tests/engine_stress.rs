@@ -10,8 +10,8 @@ use std::time::Duration;
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{ColumnType, Value};
 use column_imprints::engine::{
-    maintenance_tick, Catalog, EngineConfig, MaintenanceConfig, MaintenanceDaemon, ValueRange,
-    WorkerPool,
+    maintenance_tick, BatchAnswer, BatchQuery, Catalog, EngineConfig, MaintenanceConfig,
+    MaintenanceDaemon, ValueRange, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,7 +115,11 @@ fn concurrent_readers_and_appender_stay_consistent() {
                     // 2) Soundness of live parallel queries: rows are
                     // append-only, so every returned id must satisfy the
                     // predicates whenever we look at it.
-                    let live = table.query_on(&pool, &preds).unwrap();
+                    let query = BatchQuery::ids(preds.map(|(n, r)| (n.to_string(), r)).to_vec());
+                    let live = match table.query_batch(&[query], Some(&pool)).pop() {
+                        Some(Ok((BatchAnswer::Ids(ids), _))) => ids,
+                        other => panic!("live query failed: {other:?}"),
+                    };
                     assert!(
                         live.as_slice().windows(2).all(|w| w[0] < w[1]),
                         "live result must be strictly ascending"

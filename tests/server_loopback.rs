@@ -358,33 +358,48 @@ fn multi_predicate_wire_forms_match_oracle() {
     let mut client = Client::connect(addr).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
-    // IN-list alone, byte-checked against the set-based oracle.
+    // The in-process oracle: every wire form below as one query of a
+    // single batch through the table's read pipeline.
     let in_list = ValueSet::points([Value::U16(1), Value::U16(4), Value::U16(9)]);
-    let ids = table.query_sets(&[("sensor", in_list.clone())]).unwrap();
+    let or_preds = vec![
+        ("sensor".to_string(), ValueSet::range(ValueRange::equals(Value::U16(2)))),
+        ("value".to_string(), ValueSet::range(ValueRange::at_least(Value::I64(9000)))),
+    ];
+    let oracle = table.query_batch(
+        &[
+            BatchQuery::ids_sets(vec![("sensor".into(), in_list.clone())]),
+            BatchQuery::ids_sets(vec![
+                ("sensor".into(), in_list),
+                ("value".into(), ValueSet::range(ValueRange::at_most(Value::I64(5000)))),
+            ]),
+            BatchQuery::ids_sets(or_preds.clone()).or_group(),
+            BatchQuery::count_sets(or_preds).or_group(),
+        ],
+        None,
+    );
+    let answer = |i: usize| match &oracle[i] {
+        Ok((answer, _)) => answer,
+        Err(e) => panic!("oracle query {i} failed: {e}"),
+    };
+    let ids = |i: usize| match answer(i) {
+        BatchAnswer::Ids(ids) => ids.as_slice(),
+        BatchAnswer::Count(_) => panic!("oracle query {i} is materializing"),
+    };
+
+    // IN-list alone.
     client.send("#in QUERY readings sensor=1,4,9").unwrap();
-    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("in"), ids.as_slice()));
+    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("in"), ids(0)));
 
     // IN-list conjoined with a range predicate.
-    let ids = table
-        .query_sets(&[
-            ("sensor", in_list.clone()),
-            ("value", ValueSet::range(ValueRange::at_most(Value::I64(5000)))),
-        ])
-        .unwrap();
     client.send("#inand QUERY readings sensor=1,4,9 value<=5000").unwrap();
-    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("inand"), ids.as_slice()));
+    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("inand"), ids(1)));
 
     // OR group: the union of its arms, for QUERY and COUNT alike.
-    let or_preds = [
-        ("sensor", ValueSet::range(ValueRange::equals(Value::U16(2)))),
-        ("value", ValueSet::range(ValueRange::at_least(Value::I64(9000)))),
-    ];
-    let ids = table.query_any(&or_preds).unwrap();
     client.send("#or QUERY readings OR sensor=2 value>=9000").unwrap();
-    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("or"), ids.as_slice()));
-    let n = table.count_any(&or_preds).unwrap();
+    assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("or"), ids(2)));
+    let BatchAnswer::Count(n) = answer(3) else { panic!("oracle query 3 is count-only") };
     client.send("#orc COUNT readings or sensor=2 value>=9000").unwrap();
-    assert_eq!(client.recv().unwrap(), fmt_ok_count(Some("orc"), n));
+    assert_eq!(client.recv().unwrap(), fmt_ok_count(Some("orc"), *n));
     check_bystander("after the well-formed multi-predicate requests");
 
     // Malformed IN-list / OR syntax: a tagged ERR each, connection and
